@@ -109,6 +109,11 @@ class PrimeCache:
             if version != _CACHE_VERSION:
                 raise ValueError(f"unsupported prime cache version {version}")
             packed = np.frombuffer(fh.read(), dtype=np.uint8)
+        if packed.size * 8 < limit + 1:
+            raise ValueError(
+                f"truncated prime cache {path}: {packed.size * 8} flag bits "
+                f"for limit {limit}"
+            )
         flags = np.unpackbits(packed, bitorder="little")[: limit + 1].astype(bool)
         cache = cls(limit=limit, flags=flags)
         return cache

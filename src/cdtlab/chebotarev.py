@@ -3,10 +3,13 @@
 The fast path counts lattice points (u, v) with f(u, v) a prime up to x
 against a cached sieve table, in numpy blocks, optionally across forked
 worker processes; dividing by the unit count turns the lattice total
-into a prime-ideal count.  The slow path walks primes directly and
-assigns each prime power to its class, which yields the Chebyshev-style
-sums psi_C, their smoothed variants, and the partial-summation bridge
-back to pi_C.
+into a prime-ideal count.  The prime-power events behind the
+Chebyshev-style sums psi_C, their smoothed variants and the
+partial-summation bridge back to pi_C come from two sources: split
+primes above sqrt(x) are the prime values of the class's own form, read
+off one lattice pass, and the primes up to sqrt(x) are walked one by one
+and their powers placed in classes by composition.  pi_class_scan keeps
+a full prime walk as an independent slow count.
 """
 
 from __future__ import annotations
@@ -231,13 +234,23 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
     lies in the principal class, and its powers carry weight 2 log p.
     Ramified primes are left out; at the scales handled here their
     contribution is below every tolerance in use.
+
+    A split prime p > sqrt(bound) has only the event j = 1, and one of
+    its two ideals lies in the class of `target` exactly when `target`
+    represents p (Cohen, Computational Algebraic Number Theory, 5.2).
+    These primes are therefore the prime values of `target` itself, read
+    off one lattice pass; when `target` is its own inverse both conjugate
+    ideals lie in its class and the event counts twice.  Only the primes
+    p <= sqrt(bound) are walked one by one, their powers placed in
+    classes by composition.
     """
     target = reduce_form(target)
     D = target.discriminant
     bound = int(bound)
+    root = math.isqrt(bound)
     tinv = inverse_form(target)
     principal = reduce_form(principal_form(D))
-    table = prime_table(bound)
+    flags = prime_table(bound).flags
     events: list[tuple[int, float, bool]] = []
 
     def split_events(p: int, g: Form) -> None:
@@ -258,9 +271,7 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
                 cur = compose(cur, g)
                 curinv = compose(curinv, ginv)
 
-    for p in table.primes().tolist():
-        if p > bound:
-            break
+    for p in np.flatnonzero(flags[: root + 1]).tolist():
         if p == 2:
             if D % 8 == 1:
                 split_events(2, reduce_form(Form(2, 1, (1 - D) // 8)))
@@ -287,6 +298,16 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
                 events.append((n, 2 * math.log(p), first))
                 first = False
                 n *= p * p
+
+    # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value;
+    # small blocks keep the peak memory near that of the prime table
+    seen = np.zeros(bound + 1, dtype=bool)
+    for _, _, N in represented_blocks(target, bound, 0, max_block=1 << 14):
+        seen[N[flags[N]]] = True
+    large = np.flatnonzero(seen[root + 1 :]) + (root + 1)
+    copies = 2 if tinv == target else 1
+    for p in large[D % large != 0].tolist():
+        events.extend([(p, math.log(p), True)] * copies)
     events.sort(key=lambda e: e[0])
     return events
 

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a requested check or experiment fails,
-2 on usage or configuration errors.
+2 on usage or configuration errors and on file I/O errors.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, errorterms.ConfigurationError, ArithmeticError) as exc:
+    except (ValueError, errorterms.ConfigurationError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

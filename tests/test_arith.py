@@ -55,6 +55,14 @@ class TestPrimeCache:
         assert back.limit == table.limit
         assert (back.flags == table.flags).all()
 
+    def test_truncated(self, tmp_path):
+        path = tmp_path / "p.pche"
+        arith.primes_up_to(10**5).save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValueError, match="truncated prime cache .*p.pche"):
+            arith.PrimeCache.load(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.pche"
         path.write_bytes(b"NOPE" + bytes(16))

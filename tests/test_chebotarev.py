@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from cdtlab import chebotarev as ch
 from cdtlab import densities as de
 from cdtlab import quadforms as qf
-from cdtlab.arith import is_prime, li
+from cdtlab.arith import is_prime, li, primes_up_to
 from cdtlab.betasieve import SieveSpec, beta_sieve_weights
 from cdtlab.errorterms import ErrorModel, SiegelData
 
@@ -57,7 +58,67 @@ class TestCounting:
         assert len(lines) == 4 and lines[0].startswith("a,b,c")
 
 
+# the reference walk revisits the same primes for every form and bound
+prime_class = functools.lru_cache(maxsize=None)(qf.prime_to_class)
+
+
+def walk_psi_events(target, bound):
+    """Reference for psi_events: every prime p <= bound walked one by one,
+    split primes placed in their class by prime_to_class."""
+    target = qf.reduce_form(target)
+    D = target.discriminant
+    bound = int(bound)
+    principal = qf.reduce_form(qf.principal_form(D))
+    events = []
+
+    def split_events(p, g):
+        logp = math.log(p)
+        ginv = qf.inverse_form(g)
+        cur, curinv = g, ginv
+        n, j = p, 1
+        while n <= bound:
+            if cur == target:
+                events.append((n, logp, j == 1))
+            if curinv == target:
+                events.append((n, logp, j == 1))
+            j += 1
+            n *= p
+            if n <= bound:
+                cur = qf.compose(cur, g)
+                curinv = qf.compose(curinv, ginv)
+
+    for p in primes_up_to(bound).primes().tolist():
+        if p == 2:
+            if D % 8 == 1:
+                split_events(2, qf.reduce_form(qf.Form(2, 1, (1 - D) // 8)))
+            elif D % 2 == 1 and principal == target:
+                n = 4
+                while n <= bound:
+                    events.append((n, 2 * math.log(2), n == 4))
+                    n *= 4
+            continue
+        if D % p == 0:
+            continue
+        g = prime_class(p, D)
+        if g is not None:
+            split_events(p, g)
+        elif principal == target:
+            n = p * p
+            while n <= bound:
+                events.append((n, 2 * math.log(p), n == p * p))
+                n *= p * p
+    events.sort(key=lambda e: e[0])
+    return events
+
+
 class TestPsi:
+    # D = -71 at x = 20: (4, +-3, 5) meets the prime 5 only at u = 0
+    @pytest.mark.parametrize("D", [-3, -4, -15, -23, -31, -47, -71, -92])
+    def test_events_equal_walk(self, D):
+        for f in qf.class_representatives(D).representatives:
+            for x in (20, 100, 1000, 12345, 1e5):
+                assert ch.psi_events(f, x) == walk_psi_events(f, x), (tuple(f), x)
+
     def test_principal_gauss_oracle(self):
         # independent bookkeeping for D = -4 via the splitting of
         # rational primes in the Gaussian field

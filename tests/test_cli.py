@@ -47,6 +47,13 @@ class TestCount:
         assert json.loads(out)["h"] == 3
         assert path.exists()
 
+    def test_unwritable_csv(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code = main(["count", "1", "1", "6", "1e4", "--per-class", "--csv", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_indefinite_rejected(self, capsys):
         code, _ = run(capsys, "count", "1", "5", "1", "100")
         assert code == 2
