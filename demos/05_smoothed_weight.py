@@ -10,11 +10,10 @@ import math
 
 from scipy.integrate import quad
 
-from cdtlab import WeightParams, laplace_F, verify_bounds
-from cdtlab.weights import build_weight
+from cdtlab import WeightFunction, WeightParams, laplace_F, verify_bounds
 
 p = WeightParams(x=1e5, epsilon=0.05, ell=4)
-w = build_weight(p)
+w = WeightFunction(p)
 lo, hi = w.support
 print(f"x = {p.x:.0e}, epsilon = {p.epsilon}, ell = {p.ell}")
 print(f"support [{lo:.4f}, {hi:.4f}], mass = {w.mass():.10f}")

@@ -9,6 +9,7 @@ and safe to share across threads or forked workers.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -94,20 +95,32 @@ class PrimeCache:
         is prime).
         """
         packed = np.packbits(self.flags, bitorder="little")
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<IQ", _CACHE_VERSION, self.limit))
-            fh.write(packed.tobytes())
+        # a reader sees the old file or the whole new one, never a part
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_CACHE_MAGIC)
+                fh.write(struct.pack("<IQ", _CACHE_VERSION, self.limit))
+                fh.write(packed.tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "PrimeCache":
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _CACHE_MAGIC:
-                raise ValueError(f"bad prime cache magic {magic!r}")
-            version, limit = struct.unpack("<IQ", fh.read(12))
+            header = fh.read(16)
+            if len(header) < 16:
+                raise ValueError(
+                    f"truncated prime cache {path}: {len(header)}-byte header"
+                )
+            if header[:4] != _CACHE_MAGIC:
+                raise ValueError(f"bad prime cache magic {header[:4]!r} in {path}")
+            version, limit = struct.unpack("<IQ", header[4:])
             if version != _CACHE_VERSION:
-                raise ValueError(f"unsupported prime cache version {version}")
+                raise ValueError(f"unsupported prime cache version {version} in {path}")
             packed = np.frombuffer(fh.read(), dtype=np.uint8)
         if packed.size * 8 < limit + 1:
             raise ValueError(

@@ -23,7 +23,7 @@ __all__ = [
     "SieveWeights",
     "DensityPair",
     "beta_sieve_weights",
-    "theta_from_lambda",
+    "theta_map",
     "reduced_composition",
     "invert_composition",
     "tilde_transforms",
@@ -101,13 +101,9 @@ def beta_sieve_weights(spec: SieveSpec) -> SieveWeights:
     return SieveWeights(kind=spec.kind, support=tuple(sorted(spec.support)), R=spec.R, lam=lam)
 
 
-def theta_from_lambda(w: SieveWeights, bound: int) -> list[int]:
-    """theta_n = sum_{d | n} lambda_d for 0 < n <= bound (index 0 unused)."""
-    theta = [0] * (bound + 1)
-    for d, lam in w.lam.items():
-        for n in range(d, bound + 1, d):
-            theta[n] += lam
-    return theta
+def theta_map(w: SieveWeights, ns) -> dict[int, int]:
+    """theta_n = sum_{d | n} lambda_d for every n in `ns`."""
+    return {n: sum(lam for d, lam in w.lam.items() if n % d == 0) for n in ns}
 
 
 @dataclass(frozen=True)
@@ -168,10 +164,6 @@ def _squarefree_support_divisors(support: tuple[int, ...]) -> list[int]:
     return sorted(divs)
 
 
-def _theta_map(w: SieveWeights, divs: list[int]) -> dict[int, int]:
-    return {n: sum(lam for d, lam in w.lam.items() if n % d == 0) for n in divs}
-
-
 def invert_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> Fraction:
     """The same G evaluated through theta = 1 * lambda:
 
@@ -186,8 +178,8 @@ def invert_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> Fr
         if d.g1.get(p, Fraction(0)) + d.g2.get(p, Fraction(0)) >= 1:
             raise ValueError(f"inversion needs g'(p) + g''(p) < 1 at p = {p}")
     divs = _squarefree_support_divisors(support)
-    th1 = _theta_map(w1, divs)
-    th2 = _theta_map(w2, divs)
+    th1 = theta_map(w1, divs)
+    th2 = theta_map(w2, divs)
     total = Fraction(0)
     for b1 in divs:
         t1 = th1[b1]
@@ -316,8 +308,8 @@ def composition_bounds_check(
 
     h1, h2, _, _ = tilde_transforms(d)
     divs = _squarefree_support_divisors(support)
-    th1 = _theta_map(w1, divs)
-    th2 = _theta_map(w2, divs)
+    th1 = theta_map(w1, divs)
+    th2 = theta_map(w2, divs)
     fsum1 = sum((th1[b] * _eval_multiplicative(h1, b) for b in divs), Fraction(0))
     fsum2 = sum((th2[b] * _eval_multiplicative(h2, b) for b in divs), Fraction(0))
 

@@ -1,15 +1,18 @@
 """Prime counting in form classes of imaginary quadratic fields.
 
-The fast path counts lattice points (u, v) with f(u, v) a prime up to x
-against a cached sieve table, in numpy blocks, optionally across forked
-worker processes; dividing by the unit count turns the lattice total
-into a prime-ideal count.  The prime-power events behind the
-Chebyshev-style sums psi_C, their smoothed variants and the
-partial-summation bridge back to pi_C come from two sources: split
-primes above sqrt(x) are the prime values of the class's own form, read
-off one lattice pass, and the primes up to sqrt(x) are walked one by one
-and their powers placed in classes by composition.  pi_class_scan keeps
-a full prime walk as an independent slow count.
+The plain count behind pi_C, the sifted count of Theorem 15 and both
+evaluation orders of the sieved sum S are one weighted sum over the
+lattice points with prime value, taken by a single kernel: they differ
+only in residue tables built from gcds with the sieving modulus.  The
+kernel walks half the plane against a cached sieve table, in numpy
+blocks, optionally in strips across forked worker processes.  Dividing
+by the unit count turns a lattice total into a prime-ideal count.  The
+prime-power events behind the Chebyshev-style sums psi_C, their smoothed
+variants and the partial-summation bridge back to pi_C come from two
+sources: split primes above sqrt(x) are the prime values of the class's
+own form, read off one lattice pass, and the primes up to sqrt(x) are
+walked one by one and their powers placed in classes by composition.
+pi_class_scan keeps a full prime walk as an independent slow count.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import math
 import multiprocessing
 import os
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +31,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .arith import PrimeCache, kronecker, li, primes_up_to
+from .betasieve import theta_map
 from .densities import (
     SievingModulus,
     delta_f,
@@ -81,7 +86,8 @@ _TABLE: PrimeCache | None = None
 
 def prime_table(limit: int) -> PrimeCache:
     """Primality flags up to at least `limit`, cached in memory and,
-    when CDTLAB_CACHE_DIR is set, on disk."""
+    when CDTLAB_CACHE_DIR is set, on disk.  A cache file that fails to
+    load is rebuilt and overwritten, with a warning naming it."""
     global _TABLE
     limit = int(limit)
     if _TABLE is not None and _TABLE.limit >= limit:
@@ -89,9 +95,14 @@ def prime_table(limit: int) -> PrimeCache:
     cache_dir = os.environ.get("CDTLAB_CACHE_DIR")
     path = Path(cache_dir) / f"primes_{limit}.pche" if cache_dir else None
     if path is not None and path.exists():
-        _TABLE = PrimeCache.load(path)
-        if _TABLE.limit >= limit:
-            return _TABLE
+        try:
+            _TABLE = PrimeCache.load(path)
+        except ValueError as exc:
+            # a damaged file is a miss: rebuild and overwrite it
+            warnings.warn(f"rebuilding prime cache {path}: {exc}", stacklevel=2)
+        else:
+            if _TABLE.limit >= limit:
+                return _TABLE
     _TABLE = primes_up_to(max(limit, 1 << 10))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -100,72 +111,66 @@ def prime_table(limit: int) -> PrimeCache:
 
 
 # ---------------------------------------------------------------------------
-# block counting, serial or across forked workers
+# the lattice kernel, serial or across forked workers
 #
-# Workers read their task description from _WORK, which the parent fills
-# in before forking; integer partial sums make the total independent of
-# the worker count and of scheduling.
+# _lattice_sum returns the sum of w_u[u % m] * w_v[v % m] over the pairs
+# with f(u, v) = n a prime <= x and n_ok[n % k] nonzero.  Each table must
+# depend on its residue only through the gcd with its modulus, so that
+# (-u, -v) weighs the same as (u, v): the strips cover u >= 1, their sum
+# is doubled and the row u = 0 added once.  The tables are read on the
+# prime hits only, a few percent of the points.  Strips depend on the
+# form and x alone and partial sums are exact integers, so the total is
+# independent of the worker count.  Forked workers find the strip
+# closure in _STRIP, set just before the fork; only bounds are pickled.
 
-_WORK: dict = {}
-
-
-def _strip_job(bounds: tuple[int, int]) -> int:
-    u_lo, u_hi = bounds
-    f: Form = _WORK["form"]
-    x: int = _WORK["x"]
-    flags: np.ndarray = _WORK["flags"]
-    mode: str = _WORK["mode"]
-    total = 0
-    for U, V, N in represented_blocks(f, x, u_lo, u_hi):
-        mask = flags[N]
-        if mode == "prime":
-            total += int(np.count_nonzero(mask))
-        elif mode == "oddprime":
-            # odd prime values coprime to P, no coordinate condition
-            P = _WORK["P"]
-            mask &= np.gcd(N, 2 * P) == 1
-            total += int(np.count_nonzero(mask))
-        elif mode == "coprime":
-            P = _WORK["P"]
-            mask &= np.gcd(N, 2 * P) == 1
-            mask &= np.gcd(U, P) == 1
-            mask &= np.gcd(V, P) == 1
-            total += int(np.count_nonzero(mask))
-        elif mode == "theta":
-            P = _WORK["P"]
-            th1: np.ndarray = _WORK["theta1"]
-            th2: np.ndarray = _WORK["theta2"]
-            mask &= np.gcd(N, 2 * P) == 1
-            w = th1[np.gcd(U, P)] * th2[np.gcd(V, P)]
-            total += int(w[mask].sum())
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return total
+_STRIP = None
 
 
-def _run_strips(f: Form, x: float, workers: int, mode: str, extra: dict | None = None) -> int:
+def _run_strip(u_lo: int, u_hi: int) -> int:
+    return _STRIP(u_lo, u_hi)
+
+
+def _lattice_sum(
+    f: Form, x: float, workers: int, n_ok: np.ndarray, w_u: np.ndarray, w_v: np.ndarray
+) -> int:
+    global _STRIP
     f.check_positive_definite()
     x = int(x)
     flags = prime_table(x).flags
-    _WORK.clear()
-    _WORK.update({"form": f, "x": x, "flags": flags, "mode": mode})
-    if extra:
-        _WORK.update(extra)
+    k, m = len(n_ok), len(w_u)
+
+    def strip(u_lo: int, u_hi: int) -> int:
+        total = 0
+        for U, V, N in represented_blocks(f, x, u_lo, u_hi):
+            hit = flags[N]
+            w = w_u[U[hit] % m] * n_ok[N[hit] % k]
+            total += int(np.dot(w, w_v[V[hit] % m]))
+        return total
+
     U = _u_bound(f, x)
-    # fixed chunking: totals are exact integers, so the result cannot
-    # depend on the worker count
-    chunk = max(1, (2 * U + 1) // 64)
-    jobs = [(lo, min(lo + chunk - 1, U)) for lo in range(-U, U + 1, chunk)]
+    chunk = max(1, U // 32)
+    jobs = [(lo, min(lo + chunk - 1, U)) for lo in range(1, U + 1, chunk)]
     if workers <= 1:
-        return sum(_strip_job(j) for j in jobs)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers) as pool:
-        return sum(pool.map(_strip_job, jobs))
+        half = sum(strip(*j) for j in jobs)
+    else:
+        _STRIP = strip
+        try:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                half = sum(pool.starmap(_run_strip, jobs))
+        finally:
+            _STRIP = None
+    return 2 * half + strip(0, 0)
+
+
+def _coprime_residues(m: int) -> np.ndarray:
+    """[gcd(r, m) = 1] for every residue r mod m."""
+    return (np.gcd(np.arange(m), m) == 1).astype(np.int64)
 
 
 def count_prime_points(f: Form, x: float, workers: int = 1) -> int:
     """Number of integer pairs (u, v) with f(u, v) a prime <= x."""
-    return _run_strips(f, x, workers, "prime")
+    one = np.ones(1, dtype=np.int64)
+    return _lattice_sum(f, x, workers, one, one, one)
 
 
 def pi_class(f: Form, x: float, workers: int = 1) -> float:
@@ -421,14 +426,11 @@ def congruence_sum_predicted(
     return {"density": dens, "value": value, "budget": budget}
 
 
-def _theta_lookup(lam: dict[int, int], P: int) -> np.ndarray:
-    """theta_d = sum_{e | d} lambda_e for every divisor d of P, stored in
-    an array indexed by d for direct gcd lookups."""
-    out = np.zeros(P + 1, dtype=np.int64)
-    for d in range(1, P + 1):
-        if P % d == 0:
-            out[d] = sum(l for e, l in lam.items() if d % e == 0)
-    return out
+def _theta_table(w, P: int) -> np.ndarray:
+    """theta(gcd(r, P)) for every residue r mod P, theta = 1 * lambda."""
+    g = np.gcd(np.arange(P), P).tolist()
+    theta = theta_map(w, set(g))
+    return np.array([theta[d] for d in g], dtype=np.int64)
 
 
 def sieved_sum_S(
@@ -453,19 +455,17 @@ def sieved_sum_S(
     for w in (w1, w2):
         if any(P.P % d for d in w.lam):
             raise ValueError("sieve weights must be supported on divisors of P")
+    n_ok = _coprime_residues(2 * P.P)
+    one = np.ones(1, dtype=np.int64)
     by_pairs = 0
     for d1, l1 in w1.lam.items():
         for d2, l2 in w2.lam.items():
             if math.gcd(d1, d2) != 1:
                 continue
             g = induced_form(f, d1, d2)
-            by_pairs += l1 * l2 * _run_strips(
-                g, x, workers, "oddprime", {"P": P.P}
-            )
-    th1 = _theta_lookup(dict(w1.lam), P.P)
-    th2 = _theta_lookup(dict(w2.lam), P.P)
-    by_points = _run_strips(
-        f, x, workers, "theta", {"P": P.P, "theta1": th1, "theta2": th2}
+            by_pairs += l1 * l2 * _lattice_sum(g, x, workers, n_ok, one, one)
+    by_points = _lattice_sum(
+        f, x, workers, n_ok, _theta_table(w1, P.P), _theta_table(w2, P.P)
     )
     if by_pairs != by_points:
         raise AssertionError(
@@ -520,7 +520,8 @@ def theorem15_experiment(
     f = reduce_form(f)
     D = f.discriminant
     h = class_representatives(D).h
-    count = _run_strips(f, x, workers, "coprime", {"P": P.P})
+    coprime = _coprime_residues(P.P)
+    count = _lattice_sum(f, x, workers, _coprime_residues(2 * P.P), coprime, coprime)
     lhs = count / stab_order(D)
     dens = delta_f(f, P)
     rhs = float(dens) * li(x) / h

@@ -142,14 +142,8 @@ def _cmd_bounds(args) -> int:
             w.writerow(["x", "eta", "exp_neg_eta", "classical_error"])
             x = 10.0
             while x <= args.x:
-                w.writerow(
-                    [
-                        x,
-                        errorterms.eta(x, model),
-                        math.exp(-errorterms.eta(x, model)),
-                        errorterms.classical_error(x, model),
-                    ]
-                )
+                e = errorterms.eta(x, model)
+                w.writerow([x, e, math.exp(-e), errorterms.classical_error(x, model)])
                 x *= 10.0
     _emit(out, args)
     return 0

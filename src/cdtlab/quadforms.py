@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "is_fundamental",
     "class_number_order",
     "induced_form",
-    "enumerate_represented",
     "represented_blocks",
     "prime_to_class",
 ]
@@ -333,16 +332,6 @@ def represented_blocks(
         N = a * Ub * Ub + b * Ub * Vb + c * Vb * Vb
         mask = (N >= 1) & (N <= int(x))
         yield Ub[mask], Vb[mask], N[mask]
-
-
-def enumerate_represented(
-    f: Form, x: float, visitor: Callable[[int, int, int], None]
-) -> None:
-    """Visit every integer pair (u, v) with 0 < f(u, v) <= x exactly once,
-    u ascending."""
-    for U, V, N in represented_blocks(f, x):
-        for u, v, n in zip(U.tolist(), V.tolist(), N.tolist()):
-            visitor(u, v, n)
 
 
 def prime_to_class(p: int, D: int) -> Form | None:

@@ -97,10 +97,6 @@ class WeightFunction:
         return 0.5 + self.params.epsilon / self.params.log_x
 
 
-def build_weight(params: WeightParams) -> WeightFunction:
-    return WeightFunction(params)
-
-
 _SERIES_CUTOFF = 1e-4
 
 

@@ -63,6 +63,13 @@ class TestPrimeCache:
         with pytest.raises(ValueError, match="truncated prime cache .*p.pche"):
             arith.PrimeCache.load(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "p.pche"
+        arith.primes_up_to(10**3).save(path)
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match="truncated prime cache .*p.pche"):
+            arith.PrimeCache.load(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.pche"
         path.write_bytes(b"NOPE" + bytes(16))

@@ -62,7 +62,7 @@ class TestWeights:
             for R in (20.0, 100.0, 1000.0):
                 spec = bs.SieveSpec(z=12.0, R=R, kind=kind, support=support)
                 w = bs.beta_sieve_weights(spec)
-                theta = bs.theta_from_lambda(w, 2000)
+                theta = bs.theta_map(w, range(1, 2001))
                 for n in range(1, 2001):
                     assert cmp(theta[n], int(math.gcd(n, P) == 1)), (kind, R, n)
 

@@ -7,7 +7,7 @@ import pytest
 from cdtlab import chebotarev as ch
 from cdtlab import densities as de
 from cdtlab import quadforms as qf
-from cdtlab.arith import is_prime, li, primes_up_to
+from cdtlab.arith import PrimeCache, is_prime, li, primes_up_to
 from cdtlab.betasieve import SieveSpec, beta_sieve_weights
 from cdtlab.errorterms import ErrorModel, SiegelData
 
@@ -36,6 +36,15 @@ class TestCounting:
         base = ch.count_prime_points(f, 1e5, workers=1)
         assert ch.count_prime_points(f, 1e5, workers=2) == base
         assert ch.count_prime_points(f, 1e5, workers=4) == base
+        P = de.SievingModulus.from_int(105)
+        w = beta_sieve_weights(
+            SieveSpec(z=8.0, R=1e10, kind="upper", support=P.prime_factors)
+        )
+        for g in (f, qf.Form(1, 0, 1)):
+            one = ch.theorem15_experiment(g, P, 1e5, workers=1).lhs
+            assert ch.theorem15_experiment(g, P, 1e5, workers=2).lhs == one
+            one = ch.sieved_sum_S(g, w, w, P, 1e5, workers=1)
+            assert ch.sieved_sum_S(g, w, w, P, 1e5, workers=2) == one
 
     def test_pi_class_vs_scan(self):
         for D in (-23, -47):
@@ -262,6 +271,76 @@ class TestSievedSum:
         assert 7 in w.lam
         with pytest.raises(ValueError):
             ch.sieved_sum_S(f, w, w, P, 1e3)
+
+
+@functools.lru_cache(maxsize=None)
+def prime_points(f, x):
+    """Every (u, v, n) with n = f(u, v) a prime <= x, by brute force."""
+    bound = math.isqrt(int(4 * max(f.a, f.c) * x)) + 2
+    return [
+        (u, v, f(u, v))
+        for u in range(-bound, bound + 1)
+        for v in range(-bound, bound + 1)
+        if 1 <= f(u, v) <= x and is_prime(f(u, v))
+    ]
+
+
+def brute_theta(w, n):
+    return sum(l for d, l in w.lam.items() if n % d == 0)
+
+
+class TestTablesVsBruteforce:
+    # prime c (forms (2,1,3) and (4,3,5)) puts prime points on the row u = 0
+    FORMS = [qf.Form(1, 0, 1), qf.Form(2, 1, 3), qf.Form(4, 3, 5), qf.Form(1, 1, 6)]
+    X = 1000
+
+    @pytest.mark.parametrize("f", FORMS)
+    @pytest.mark.parametrize("Pn", [7, 15, 105])
+    def test_coprime_count(self, f, Pn):
+        P = de.SievingModulus.from_int(Pn)
+        brute = sum(
+            1
+            for u, v, n in prime_points(f, self.X)
+            if math.gcd(n, 2 * Pn) == 1 and math.gcd(u, Pn) == 1 and math.gcd(v, Pn) == 1
+        )
+        rep = ch.theorem15_experiment(f, P, self.X)
+        assert rep.lhs * qf.stab_order(f.discriminant) == brute
+
+    @pytest.mark.parametrize("f", FORMS)
+    @pytest.mark.parametrize("Pn", [7, 15, 105])
+    def test_theta_weighted_sum(self, f, Pn):
+        P = de.SievingModulus.from_int(Pn)
+        z = max(P.prime_factors) + 1.0
+
+        def weights(kind, R):
+            return beta_sieve_weights(
+                SieveSpec(z=z, R=R, kind=kind, support=P.prime_factors)
+            )
+
+        full, trunc, low = weights("upper", 1e10), weights("upper", 50.0), weights("lower", 50.0)
+        for w1, w2 in ((full, low), (trunc, full), (low, trunc)):
+            brute = sum(
+                brute_theta(w1, u) * brute_theta(w2, v)
+                for u, v, n in prime_points(f, self.X)
+                if math.gcd(n, 2 * Pn) == 1
+            )
+            assert ch.sieved_sum_S(f, w1, w2, P, self.X)["lattice_total"] == brute
+
+
+class TestPrimeTableCache:
+    @pytest.mark.parametrize("size", [6000, 10])
+    def test_truncated_file_is_rebuilt(self, tmp_path, monkeypatch, size):
+        limit = 10**5
+        path = tmp_path / f"primes_{limit}.pche"
+        primes_up_to(limit).save(path)
+        path.write_bytes(path.read_bytes()[:size])
+        monkeypatch.setenv("CDTLAB_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(ch, "_TABLE", None)
+        with pytest.warns(UserWarning, match=f"rebuilding prime cache .*{path.name}"):
+            table = ch.prime_table(limit)
+        assert table.count() == 9592
+        assert PrimeCache.load(path).count() == 9592
+        assert [q.name for q in tmp_path.iterdir()] == [path.name]
 
 
 class TestExperiment:

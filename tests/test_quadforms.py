@@ -169,11 +169,6 @@ class TestLattice:
             )
         assert whole == pieces
 
-    def test_visitor(self):
-        seen = []
-        qf.enumerate_represented(qf.Form(1, 0, 1), 20, lambda u, v, n: seen.append(n))
-        assert sorted(set(seen)) == [1, 2, 4, 5, 8, 9, 10, 13, 16, 17, 18, 20]
-
 
 class TestPrimeToClass:
     @pytest.mark.parametrize("D", [-23, -47, -71])
