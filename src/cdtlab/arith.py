@@ -40,7 +40,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for nonnegative integers up to 64 bits."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -139,7 +139,7 @@ def primes_up_to(x: int, segment: int = 1 << 20) -> PrimeCache:
     x = int(x)
     # ~1 byte per integer; refuse absurd requests before allocating.
     if x > 1 << 33:
-        raise MemoryError(f"prime cache up to {x} exceeds the memory budget")
+        raise ValueError(f"prime cache up to {x} exceeds the memory budget")
     root = math.isqrt(x)
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False

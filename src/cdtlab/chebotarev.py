@@ -12,7 +12,10 @@ variants and the partial-summation bridge back to pi_C come from two
 sources: split primes above sqrt(x) are the prime values of the class's
 own form, read off one lattice pass, and the primes up to sqrt(x) are
 walked one by one and their powers placed in classes by composition.
-pi_class_scan keeps a full prime walk as an independent slow count.
+pi_class_scan walks every prime p <= x, 2 and the ramified primes
+included, as an independent slow count that equals the lattice count
+exactly.  Both walks label a prime by one rule, quadforms.prime_to_class:
+the class of the forms that represent it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 
-from .arith import PrimeCache, kronecker, li, primes_up_to
+from .arith import PrimeCache, li, primes_up_to
 from .betasieve import theta_map
 from .densities import (
     SievingModulus,
@@ -185,9 +188,14 @@ def pi_all(D: int, x: float, workers: int = 1) -> dict[Form, float]:
 
 
 def pi_class_scan(target: Form, x: float) -> int:
-    """Independent slow count of the split odd primes p <= x whose
-    attached ideal classes include the class of `target`; each of the two
-    conjugate ideals is counted separately."""
+    """Independent slow count of the prime ideals of degree one and norm
+    p <= x in the class of `target`, walking every prime p.
+
+    prime_to_class gives the class g of an ideal above p.  A split p
+    has a second ideal in the class of g^-1, a ramified p (p | D) only
+    the one.  This count equals pi_class exactly: the lattice path
+    reaches the same ideals through the values of the form.
+    """
     target = reduce_form(target)
     D = target.discriminant
     table = prime_table(int(x))
@@ -195,12 +203,9 @@ def pi_class_scan(target: Form, x: float) -> int:
     for p in table.primes().tolist():
         if p > x:
             break
-        if p == 2 or D % p == 0:
-            continue
         g = prime_to_class(p, D)
-        if g is None:
-            continue
-        total += (g == target) + (inverse_form(g) == target)
+        if g is not None:
+            total += (g == target) + (D % p != 0 and inverse_form(g) == target)
     return total
 
 
@@ -246,8 +251,9 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
     These primes are therefore the prime values of `target` itself, read
     off one lattice pass; when `target` is its own inverse both conjugate
     ideals lie in its class and the event counts twice.  Only the primes
-    p <= sqrt(bound) are walked one by one, their powers placed in
-    classes by composition.
+    p <= sqrt(bound) are walked one by one: prime_to_class gives the
+    class of a split p, None marks an inert one, and composition places
+    the powers.
     """
     target = reduce_form(target)
     D = target.discriminant
@@ -277,26 +283,12 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
                 curinv = compose(curinv, ginv)
 
     for p in np.flatnonzero(flags[: root + 1]).tolist():
-        if p == 2:
-            if D % 8 == 1:
-                split_events(2, reduce_form(Form(2, 1, (1 - D) // 8)))
-            elif D % 2 == 1 and 4 <= bound and principal == target:
-                # inert two: powers 4^j are principal with weight 2 log 2
-                n = 4
-                while n <= bound:
-                    events.append((n, 2 * math.log(2), n == 4))
-                    n *= 4
-            continue
         if D % p == 0:
             continue
-        chi = kronecker(D, p)
-        if chi == 1:
-            g = prime_to_class(p, D)
-            assert g is not None
+        g = prime_to_class(p, D)
+        if g is not None:
             split_events(p, g)
-        else:
-            if principal != target:
-                continue
+        elif principal == target:
             n = p * p
             first = True
             while n <= bound:

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a requested check or experiment fails,
-2 on usage or configuration errors and on file I/O errors.
+2 on usage or configuration errors and on file I/O errors, each reported
+as one `error:` line on stderr.  Library warnings print as one
+`warning: <message>` line each.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from . import betasieve, chebotarev, densities, errorterms, quadforms, verify, weights
 
@@ -249,13 +252,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except (ValueError, errorterms.ConfigurationError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.fn(args)
+        except (ValueError, errorterms.ConfigurationError, ArithmeticError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

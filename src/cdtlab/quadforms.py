@@ -7,7 +7,6 @@ Only positive definite (negative discriminant) forms are supported.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import factorize, is_prime, kronecker, sqrt_mod
+from .arith import factorize, kronecker, sqrt_mod
 
 __all__ = [
     "Form",
@@ -97,19 +96,6 @@ class ClassList:
     @property
     def h(self) -> int:
         return len(self.representatives)
-
-    def index_of(self, f: Form) -> int:
-        return self.representatives.index(reduce_form(f))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"D": self.D, "h": self.h, "forms": [list(f) for f in self.representatives]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClassList":
-        data = json.loads(text)
-        return cls(D=data["D"], representatives=tuple(Form(*f) for f in data["forms"]))
 
 
 def _check_discriminant(D: int) -> None:
@@ -335,25 +321,21 @@ def represented_blocks(
 
 
 def prime_to_class(p: int, D: int) -> Form | None:
-    """The reduced class attached to a split odd prime p: a form (p, b, *)
-    with b^2 = D (mod 4p).  Returns None when p is inert.
+    """The reduced class of the primitive forms of discriminant D that
+    represent the prime p, or None when no such form exists.
 
-    Of the two roots b and 2p - b the smaller is taken; the other root
-    yields the conjugate (inverse) class.
+    A form (p, b, c) with b^2 = D (mod 4p) is the class of a prime ideal
+    of norm p (Cohen, Computational Algebraic Number Theory, 5.2).  For a
+    split p the conjugate ideal lies in the inverse class, and for a
+    ramified p the class is its own inverse.  None means p is inert, or
+    p divides the conductor of a non-fundamental D, where (p, b, c) is
+    not primitive.
     """
     _check_discriminant(D)
-    if p == 2 or D % p == 0:
-        raise ValueError(f"prime_to_class requires an odd prime not dividing D, got {p}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if kronecker(D, p) == -1:
-        return None
-    r = sqrt_mod(D % p, p)
-    assert r is not None
-    # lift to b (mod 2p) with b = D (mod 2)
-    b = r if r % 2 == abs(D) % 2 else p + r if (p + r) % 2 == abs(D) % 2 else p - r
-    b %= 2 * p
-    b = min(b, 2 * p - b)
-    if b % 2 != abs(D) % 2:
-        b = 2 * p - b
-    return reduce_form(Form(p, b, (b * b - D) // (4 * p)))
+    b = {0: 0, 1: 1, 4: 2}.get(D % 8) if p == 2 else sqrt_mod(D, p)
+    if b is None:
+        return None  # p is inert
+    if (b - D) % 2:
+        b = p - b  # the root of D's parity: b^2 = D (mod 4p)
+    f = Form(p, b, (b * b - D) // (4 * p))
+    return reduce_form(f) if f.is_primitive else None

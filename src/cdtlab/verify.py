@@ -164,7 +164,7 @@ def _check_chebotarev(workers: int = 1) -> list[Check]:
     f = quadforms.class_representatives(-23).representatives[0]
     lattice = chebotarev.pi_class(f, 1e5, workers)
     scan = chebotarev.pi_class_scan(f, 1e5)
-    ok = abs(lattice - scan) <= 3  # ramified / p=2 edge ideals
+    ok = lattice == scan
     out.append(("lattice vs prime-scan count", ok, f"D=-23, x=1e5: {lattice} vs {scan}"))
     rep = chebotarev.equidistribution_report(-23, 1e5, workers)
     out.append(

@@ -46,13 +46,20 @@ class TestCounting:
             one = ch.sieved_sum_S(g, w, w, P, 1e5, workers=1)
             assert ch.sieved_sum_S(g, w, w, P, 1e5, workers=2) == one
 
-    def test_pi_class_vs_scan(self):
-        for D in (-23, -47):
-            for f in qf.class_representatives(D).representatives:
-                lattice = ch.pi_class(f, 2e4)
-                scan = ch.pi_class_scan(f, 2e4)
-                # lattice additionally sees ramified primes and split 2
-                assert 0 <= lattice - scan <= 3, (D, tuple(f))
+    @pytest.mark.parametrize(
+        "f",
+        [
+            f
+            for D in (-3, -4, -15, -23, -31, -47, -71, -92)
+            for f in qf.class_representatives(D).representatives
+        ],
+        ids=lambda f: "_".join(map(str, f)),
+    )
+    def test_pi_class_vs_scan(self, f):
+        # 2 and the ramified primes count on both paths
+        for x in (20, 100, 2e4):
+            lattice = ch.count_prime_points(f, x)
+            assert lattice == qf.stab_order(f.discriminant) * ch.pi_class_scan(f, x), x
 
     def test_equidistribution_report(self, tmp_path):
         rep = ch.equidistribution_report(-23, 1e5)

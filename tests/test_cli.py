@@ -58,6 +58,12 @@ class TestCount:
         code, _ = run(capsys, "count", "1", "5", "1", "100")
         assert code == 2
 
+    def test_table_over_size_cap(self, capsys):
+        code = main(["count", "1", "1", "6", "1e10"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: prime cache up to") and err.count("\n") == 1
+
 
 class TestDelta:
     def test_value(self, capsys):
@@ -118,6 +124,13 @@ class TestBounds:
         assert data["nu1"] < 1
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("x,") and len(lines) > 5
+
+    def test_siegel_warning_one_line(self, capsys):
+        code = main(["bounds", "--x", "1e12", "--beta1", "0.999"])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err.count("\n") == 1
+        assert err.startswith("warning: supplied Siegel zero")
 
 
 class TestExperiment:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdtlab import quadforms as qf
-from cdtlab.arith import is_prime, kronecker
+from cdtlab.arith import is_prime
 
 H_TABLE = {
     -3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -15: 2, -19: 1, -20: 2,
@@ -66,11 +66,6 @@ class TestClassNumbers:
                 assert f.discriminant == D
                 assert f.is_primitive
                 assert qf.reduce_form(f) == f
-
-    def test_json_roundtrip(self):
-        cl = qf.class_representatives(-47)
-        back = qf.ClassList.from_json(cl.to_json())
-        assert back == cl
 
     def test_fundamental(self):
         assert qf.is_fundamental(-3)
@@ -171,17 +166,14 @@ class TestLattice:
 
 
 class TestPrimeToClass:
-    @pytest.mark.parametrize("D", [-23, -47, -71])
+    # every prime p < 250, 2 and the ramified ones included; -12, -27 and
+    # -60 have conductor 2, 3 and 2, a prime no primitive form represents
+    @pytest.mark.parametrize("D", [-23, -47, -71, -3, -4, -12, -20, -27, -60, -92])
     def test_split_primes_represented(self, D):
         cl = qf.class_representatives(D)
-        table = [p for p in range(3, 250) if is_prime(p) and D % p != 0]
-        for p in table:
+        for p in filter(is_prime, range(2, 250)):
             g = qf.prime_to_class(p, D)
-            if kronecker(D, p) == -1:
-                assert g is None
-                continue
-            assert g in cl.representatives
-            # the class and its inverse are exactly those representing p
+            # the class and its inverse, or nothing, are those representing p
             representing = set()
             for f in cl.representatives:
                 ub = math.isqrt(4 * f.c * p // -D) + 1
@@ -192,7 +184,13 @@ class TestPrimeToClass:
                     for v in range(-vb, vb + 1)
                 ):
                     representing.add(f)
-            assert representing == {g, qf.inverse_form(g)}
+            assert representing == (set() if g is None else {g, qf.inverse_form(g)}), p
+            assert g is None or g in cl.representatives
+
+    @pytest.mark.parametrize("p", [1, 4, 9, 15])
+    def test_rejects_composite(self, p):
+        with pytest.raises(ValueError):
+            qf.prime_to_class(p, -23)
 
     def test_induced(self):
         f = qf.Form(1, 0, 1)
