@@ -224,7 +224,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     Returns min(r, p - r) when a is a quadratic residue (0 for a = 0).
     """
     if p == 2 or not is_prime(p):
-        raise ValueError(f"sqrt_mod requires an odd prime modulus, got {p}")
+        raise ValueError(f"{p} is not an odd prime")
     a %= p
     if a == 0:
         return 0

@@ -6,16 +6,21 @@ lattice points with prime value, taken by a single kernel: they differ
 only in residue tables built from gcds with the sieving modulus.  The
 kernel walks half the plane against a cached sieve table, in numpy
 blocks, optionally in strips across forked worker processes.  Dividing
-by the unit count turns a lattice total into a prime-ideal count.  The
-prime-power events behind the Chebyshev-style sums psi_C, their smoothed
-variants and the partial-summation bridge back to pi_C come from two
-sources: split primes above sqrt(x) are the prime values of the class's
-own form, read off one lattice pass, and the primes up to sqrt(x) are
-walked one by one and their powers placed in classes by composition.
-pi_class_scan walks every prime p <= x, 2 and the ramified primes
-included, as an independent slow count that equals the lattice count
-exactly.  Both walks label a prime by one rule, quadforms.prime_to_class:
-the class of the forms that represent it.
+by the unit count turns a lattice total into a prime-ideal count.
+
+The prime-power events behind the Chebyshev-style sums psi_C, their
+smoothed variants and the partial-summation bridge back to pi_C follow
+one rule: a split prime power p^j lies in the class of a form exactly
+when the form properly represents it, f(u, v) = p^j with gcd(u, v) = 1,
+since the only primitive ideals of norm p^j are the j-th powers of the
+two ideals above p (Cox, Primes of the Form x^2+ny^2, 2-3 and
+Theorem 7.7; Cohen, Computational Algebraic Number Theory, 5.2).  They
+are read off one lattice pass over the class's own form; the inert
+squares, all in the principal class, are added by hand.  pi_class_scan
+walks every prime p <= x, 2 and the ramified primes included, as an
+independent slow count that equals the lattice count exactly; it labels
+each prime by quadforms.prime_to_class, the class of the forms that
+represent it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 
-from .arith import PrimeCache, li, primes_up_to
+from .arith import PrimeCache, kronecker, li, primes_up_to
 from .betasieve import theta_map
 from .densities import (
     SievingModulus,
@@ -47,7 +52,6 @@ from .quadforms import (
     Form,
     _u_bound,
     class_representatives,
-    compose,
     induced_form,
     inverse_form,
     prime_to_class,
@@ -239,72 +243,59 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
     """All prime-power events (norm, log-weight, is_prime_ideal) for the
     class of `target` with norm <= bound, sorted by norm.
 
-    Split p: the two conjugate ideals contribute their powers g^j and
-    g^-j with weight log p each.  Inert p: the ideal (p) has norm p^2,
-    lies in the principal class, and its powers carry weight 2 log p.
-    Ramified primes are left out; at the scales handled here their
-    contribution is below every tolerance in use.
-
-    A split prime p > sqrt(bound) has only the event j = 1, and one of
-    its two ideals lies in the class of `target` exactly when `target`
-    represents p (Cohen, Computational Algebraic Number Theory, 5.2).
-    These primes are therefore the prime values of `target` itself, read
-    off one lattice pass; when `target` is its own inverse both conjugate
-    ideals lie in its class and the event counts twice.  Only the primes
-    p <= sqrt(bound) are walked one by one: prime_to_class gives the
-    class of a split p, None marks an inert one, and composition places
-    the powers.
+    Split p: the two conjugate ideals contribute their powers with weight
+    log p each.  The only primitive ideals of norm p^j are the j-th powers
+    of the two ideals above p, and a form properly represents m exactly
+    when its class holds a primitive ideal of norm m (Cox, Primes of the
+    Form x^2+ny^2, 2-3 and Theorem 7.7; Cohen, Computational Algebraic
+    Number Theory, 5.2).  So the split events of the class are the values
+    f(u, v) = p^j of `target` with gcd(u, v) = 1, read off one lattice
+    pass; when `target` is its own inverse both conjugate powers lie in
+    its class and the event counts twice.  Inert p: the ideal (p) has
+    norm p^2, lies in the principal class, and its powers carry weight
+    2 log p; no form properly represents them.  Ramified primes and the
+    primes dividing the conductor are left out; at the scales handled
+    here their contribution is below every tolerance in use.
     """
     target = reduce_form(target)
     D = target.discriminant
     bound = int(bound)
     root = math.isqrt(bound)
-    tinv = inverse_form(target)
-    principal = reduce_form(principal_form(D))
     flags = prime_table(bound).flags
-    events: list[tuple[int, float, bool]] = []
-
-    def split_events(p: int, g: Form) -> None:
-        logp = math.log(p)
-        ginv = inverse_form(g)
-        cur, curinv = g, ginv
-        n = p
-        j = 1
+    small = np.flatnonzero(flags[: root + 1]).tolist()
+    # mark 1: a prime; 2: a power p^j, j >= 2, of the prime base[p^j];
+    # 3: a prime or prime power that `target` properly represents
+    mark = flags[: bound + 1].astype(np.uint8)
+    base = {}
+    for p in small:
+        n = p * p
         while n <= bound:
-            first = j == 1
-            if cur == target:
-                events.append((n, logp, first))
-            if curinv == target:
-                events.append((n, logp, first))
-            j += 1
+            mark[n] = 2
+            base[n] = p
             n *= p
-            if n <= bound:
-                cur = compose(cur, g)
-                curinv = compose(curinv, ginv)
-
-    for p in np.flatnonzero(flags[: root + 1]).tolist():
-        if D % p == 0:
-            continue
-        g = prime_to_class(p, D)
-        if g is not None:
-            split_events(p, g)
-        elif principal == target:
-            n = p * p
-            first = True
-            while n <= bound:
-                events.append((n, 2 * math.log(p), first))
-                first = False
-                n *= p * p
 
     # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value;
     # small blocks keep the peak memory near that of the prime table
-    seen = np.zeros(bound + 1, dtype=bool)
-    for _, _, N in represented_blocks(target, bound, 0, max_block=1 << 14):
-        seen[N[flags[N]]] = True
-    large = np.flatnonzero(seen[root + 1 :]) + (root + 1)
-    copies = 2 if tinv == target else 1
-    for p in large[D % large != 0].tolist():
-        events.extend([(p, math.log(p), True)] * copies)
+    for U, V, N in represented_blocks(target, bound, 0, max_block=1 << 14):
+        m = mark[N]
+        keep = m == 1
+        power = np.flatnonzero(m == 2)
+        keep[power] = np.gcd(U[power], V[power]) == 1
+        mark[N[keep]] = 3
+    events: list[tuple[int, float, bool]] = []
+    for n in np.flatnonzero(mark == 3).tolist():
+        p = base.get(n, n)
+        if D % p:
+            events.append((n, math.log(p), n == p))
+    if inverse_form(target) == target:
+        events *= 2
+    if target == reduce_form(principal_form(D)):
+        for p in small:
+            if kronecker(D, p) == -1:
+                n = p * p
+                while n <= bound:
+                    events.append((n, 2 * math.log(p), n == p * p))
+                    n *= p * p
     events.sort(key=lambda e: e[0])
     return events
 

@@ -176,51 +176,25 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    g, p, _ = _extended_gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise ArithmeticError("incompatible congruences")
-    lcm = m1 // g * m2
-    return (r1 + (r2 - r1) // g * p % (m2 // g) * m1) % lcm
-
-
-def _equivalent_with_coprime_lead(f: Form, m: int) -> Form:
-    """Return a form SL2-equivalent to f whose leading coefficient is
-    coprime to m.  A primitive form represents such values with (u,v)
-    coprime and small."""
-    for bound in (4, 8, 16, 32, 64):
-        for u in range(-bound, bound + 1):
-            for v in range(-bound, bound + 1):
-                if math.gcd(u, v) != 1:
-                    continue
-                if math.gcd(f(u, v), m) == 1:
-                    g, s, t = _extended_gcd(u, v)
-                    if g < 0:
-                        s, t = -s, -t
-                    # matrix [[u, -t], [v, s]] has determinant u*s + v*t = 1
-                    a2 = f(u, v)
-                    b2 = 2 * f.a * u * -t + f.b * (u * s - t * v) + 2 * f.c * v * s
-                    c2 = f(-t, s)
-                    return Form(a2, b2, c2)
-    raise ArithmeticError(f"no value of {tuple(f)} coprime to {m} found")
-
-
 def compose(f1: Form, f2: Form) -> Form:
-    """Reduced representative of the Gauss-composed class (Dirichlet
-    composition via united forms).  Identity is the principal form."""
+    """Reduced representative of the Gauss-composed class, by the closed
+    form of Dirichlet composition (Cox, Primes of the Form x^2+ny^2, 3.A;
+    Cohen, Computational Algebraic Number Theory, 5.4): with
+    e = gcd(a1, a2, (b1+b2)/2) = u*a1 + v*a2 + w*(b1+b2)/2 the product
+    is (a1*a2/e^2, B, .), B = (u*a1*b2 + v*a2*b1 + w*(b1*b2 + D)/2)/e.
+    Identity is the principal form."""
     if f1.discriminant != f2.discriminant:
         raise ValueError("compose requires equal discriminants")
     if not (f1.is_primitive and f2.is_primitive):
         raise ValueError("compose requires primitive forms")
     D = f1.discriminant
-    g1 = reduce_form(f1)
-    g2 = _equivalent_with_coprime_lead(f2, 2 * g1.a)
-    a1, a2 = g1.a, g2.a
-    # unite: B = b1 (mod 2*a1), B = b2 (mod 2*a2); both are = D (mod 2)
-    B = _crt(g1.b, 2 * a1, g2.b, 2 * a2)
-    A = a1 * a2
-    C = (B * B - D) // (4 * A)
-    return reduce_form(Form(A, B, C))
+    a1, b1, a2, b2 = f1.a, f1.b, f2.a, f2.b
+    g, s, t = _extended_gcd(a1, a2)
+    e, k, w = _extended_gcd(g, (b1 + b2) // 2)
+    u, v = k * s, k * t
+    A = a1 * a2 // (e * e)
+    B = (u * a1 * b2 + v * a2 * b1 + w * (b1 * b2 + D) // 2) // e
+    return reduce_form(Form(A, B, (B * B - D) // (4 * A)))
 
 
 def principal_form(D: int) -> Form:
@@ -289,6 +263,10 @@ def represented_blocks(
     f.check_positive_definite()
     if x < 1:
         return
+    if 4 * f.c * int(x) > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"form {tuple(f)} at x = {int(x)} overflows int64 lattice arithmetic"
+        )
     a, b, c = f.a, f.b, f.c
     D = f.discriminant
     U = _u_bound(f, x)

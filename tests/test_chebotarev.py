@@ -80,7 +80,8 @@ prime_class = functools.lru_cache(maxsize=None)(qf.prime_to_class)
 
 def walk_psi_events(target, bound):
     """Reference for psi_events: every prime p <= bound walked one by one,
-    split primes placed in their class by prime_to_class."""
+    split primes placed in their class by prime_to_class and their powers
+    by compose, an independent route to the same events."""
     target = qf.reduce_form(target)
     D = target.discriminant
     bound = int(bound)
@@ -128,8 +129,13 @@ def walk_psi_events(target, bound):
 
 
 class TestPsi:
-    # D = -71 at x = 20: (4, +-3, 5) meets the prime 5 only at u = 0
-    @pytest.mark.parametrize("D", [-3, -4, -15, -23, -31, -47, -71, -92])
+    # D = -71 at x = 20: (4, +-3, 5) meets the prime 5 only at u = 0;
+    # the second row is non-fundamental, with primes dividing the conductor
+    @pytest.mark.parametrize(
+        "D",
+        [-3, -4, -15, -23, -31, -47, -71, -92]
+        + [-12, -16, -27, -28, -63, -75, -99, -100],
+    )
     def test_events_equal_walk(self, D):
         for f in qf.class_representatives(D).representatives:
             for x in (20, 100, 1000, 12345, 1e5):

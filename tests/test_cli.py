@@ -54,6 +54,15 @@ class TestCount:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_int64_overflow_rejected(self, capsys):
+        code = main(["count", "1", "1", "1000000000000", "1e7"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "error: form (1, 1, 1000000000000) at x = 10000000 "
+            "overflows int64 lattice arithmetic\n"
+        )
+
     def test_indefinite_rejected(self, capsys):
         code, _ = run(capsys, "count", "1", "5", "1", "100")
         assert code == 2

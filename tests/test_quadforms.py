@@ -90,6 +90,35 @@ class TestComposition:
             assert qf.compose(f, g) == qf.compose(g, f)
             assert qf.compose(qf.compose(f, g), h) == qf.compose(f, qf.compose(g, h))
 
+    @pytest.mark.parametrize("D", [-23, -47, -71, -84, -200, -431])
+    def test_prime_classes_compose_to_united_form(self, D):
+        # (p, b_p, .) and (q, b_q, .) compose to (pq, B, .) with
+        # B = b_p (mod 2p) and B = b_q (mod 2q): this fixes the orientation
+        def lead_form(p):
+            g = qf.prime_to_class(p, D)
+            for b in range(D % 2, 2 * p, 2):
+                if (b * b - D) % (4 * p) == 0:
+                    f = qf.Form(p, b, (b * b - D) // (4 * p))
+                    if qf.reduce_form(f) == g:
+                        return f
+
+        split = [
+            p for p in range(2, 200)
+            if is_prime(p) and D % p and qf.prime_to_class(p, D) is not None
+        ]
+        for p in split:
+            for q in split:
+                if p == q:
+                    continue
+                fp, fq = lead_form(p), lead_form(q)
+                B = next(
+                    B for B in range(2 * p * q)
+                    if (B - fp.b) % (2 * p) == 0 and (B - fq.b) % (2 * q) == 0
+                )
+                united = qf.Form(p * q, B, (B * B - D) // (4 * p * q))
+                got = qf.compose(qf.prime_to_class(p, D), qf.prime_to_class(q, D))
+                assert got == qf.reduce_form(united), (p, q)
+
     def test_element_orders_divide_h(self):
         for D in (-23, -47, -71):
             cl = qf.class_representatives(D)
@@ -189,7 +218,7 @@ class TestPrimeToClass:
 
     @pytest.mark.parametrize("p", [1, 4, 9, 15])
     def test_rejects_composite(self, p):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{p} is not an odd prime$"):
             qf.prime_to_class(p, -23)
 
     def test_induced(self):
