@@ -252,13 +252,16 @@ def represented_blocks(
     x: float,
     u_lo: int | None = None,
     u_hi: int | None = None,
-    max_block: int = 4_000_000,
+    max_block: int = 1 << 15,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield numpy blocks (U, V, N) covering every integer pair with
     0 < f(u, v) <= x and u in [u_lo, u_hi], each pair exactly once.
 
     The u-range defaults to the full ellipse; disjoint u-ranges partition
-    the solution set, which is what the parallel counters rely on.
+    the solution set, which is what the parallel counters rely on.  A
+    block of max_block points keeps its int64 temporaries within a
+    core's L2 cache, so a lattice pass is not bound by the memory bus
+    that other processes share.
     """
     f.check_positive_definite()
     if x < 1:
