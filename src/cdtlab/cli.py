@@ -23,6 +23,13 @@ def _parse_form(args) -> "quadforms.Form":
     return f
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _emit(data, args) -> None:
     text = json.dumps(data, indent=2, default=str)
     if getattr(args, "out", None):
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="primes represented by a form up to x")
     add_form(p)
     p.add_argument("x", type=float)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--per-class", action="store_true")
     p.add_argument("--csv")
     p.add_argument("--out")
@@ -239,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_form(p)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--tolerance", type=float, default=0.05)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the internal invariant suites")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     return top

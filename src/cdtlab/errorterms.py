@@ -17,8 +17,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
-from scipy import optimize
-
 from .arith import divisors, euler_phi, tau
 
 __all__ = [
@@ -186,6 +184,8 @@ def eta(x: float, m: ErrorModel) -> float:
     i = min(range(n + 1), key=vals.__getitem__)
     a = us[max(i - 1, 0)]
     b = us[min(i + 1, n)]
+    from scipy import optimize
+
     res = optimize.minimize_scalar(
         phi, bounds=(a, b), method="bounded", options={"xatol": 1e-12}
     )

@@ -252,7 +252,7 @@ def represented_blocks(
     x: float,
     u_lo: int | None = None,
     u_hi: int | None = None,
-    max_block: int = 1 << 15,
+    max_block: int = 1 << 14,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield numpy blocks (U, V, N) covering every integer pair with
     0 < f(u, v) <= x and u in [u_lo, u_hi], each pair exactly once.
@@ -261,7 +261,10 @@ def represented_blocks(
     the solution set, which is what the parallel counters rely on.  A
     block of max_block points keeps its int64 temporaries within a
     core's L2 cache, so a lattice pass is not bound by the memory bus
-    that other processes share.
+    that other processes share.  It also keeps them, about 1 MB, under
+    the heap-trim threshold that glibc's malloc sets once the sieve has
+    freed its 1 MB segments; at 2^15 points each block's memory went
+    back to the system and was faulted in again.
     """
     f.check_positive_definite()
     if x < 1:
@@ -277,28 +280,29 @@ def represented_blocks(
     hi = U if u_hi is None else min(u_hi, U)
     if lo > hi:
         return
-    # per-u row length is about 2*sqrt(x/c); chunk the u-range accordingly
-    rows_per_block = max(1, int(max_block / (2 * math.sqrt(x / c) + 3)))
-    for start in range(lo, hi + 1, rows_per_block):
-        us = np.arange(start, min(start + rows_per_block, hi + 1), dtype=np.int64)
+    # a row u holds about 2*sqrt(x/c) points: blocks of whole rows, with
+    # the v-ranges of 16 blocks' rows computed at once
+    rows = max(1, int(max_block / (2 * math.sqrt(x / c) + 3)))
+    for start in range(lo, hi + 1, 16 * rows):
+        us = np.arange(start, min(start + 16 * rows, hi + 1), dtype=np.int64)
         disc = D * us * us + 4 * c * int(x)
         keep = disc >= 0
         us = us[keep]
-        if us.size == 0:
-            continue
         root = np.sqrt(disc[keep].astype(np.float64))
         vlo = np.ceil((-b * us - root) / (2 * c)).astype(np.int64) - 1
         vhi = np.floor((-b * us + root) / (2 * c)).astype(np.int64) + 1
         counts = np.maximum(vhi - vlo + 1, 0)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        Ub = np.repeat(us, counts)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        Vb = np.repeat(vlo, counts) + (np.arange(total, dtype=np.int64) - offsets)
-        N = a * Ub * Ub + b * Ub * Vb + c * Vb * Vb
-        mask = (N >= 1) & (N <= int(x))
-        yield Ub[mask], Vb[mask], N[mask]
+        for i in range(0, us.size, rows):
+            n = counts[i : i + rows]
+            total = int(n.sum())
+            if total == 0:
+                continue
+            Ub = np.repeat(us[i : i + rows], n)
+            offsets = np.repeat(np.cumsum(n) - n, n)
+            Vb = np.repeat(vlo[i : i + rows], n) + (np.arange(total, dtype=np.int64) - offsets)
+            N = a * Ub * Ub + b * Ub * Vb + c * Vb * Vb
+            mask = (N >= 1) & (N <= int(x))
+            yield Ub[mask], Vb[mask], N[mask]
 
 
 def prime_to_class(p: int, D: int) -> Form | None:

@@ -166,3 +166,14 @@ class TestLi:
     def test_monotone(self):
         assert arith.li(2.0) == pytest.approx(0.0, abs=1e-9)
         assert arith.li(100.0) > arith.li(50.0) > 0
+
+    def test_series_vs_mpmath_log_spaced(self):
+        for i in range(50):
+            x = 2.0 * (1e15 / 2.0) ** (i / 49)
+            oracle = float(mpmath.li(x) - mpmath.li(2))
+            assert abs(arith.li(x) - oracle) <= 1e-12 * max(1.0, oracle), x
+
+    def test_exact_zero_and_monotone_near_two(self):
+        vals = [arith.li(2.0 + i / 4000) for i in range(4001)]
+        assert vals[0] == 0.0
+        assert all(a < b for a, b in zip(vals, vals[1:]))

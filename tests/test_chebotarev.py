@@ -355,6 +355,33 @@ class TestPrimeTableCache:
         assert PrimeCache.load(path).count() == 9592
         assert [q.name for q in tmp_path.iterdir()] == [path.name]
 
+    def test_larger_file_is_reused(self, tmp_path, monkeypatch):
+        primes_up_to(10**5).save(tmp_path / "primes_100000.pche")
+        primes_up_to(10**6).save(tmp_path / "primes_1000000.pche")
+        (tmp_path / "primes_20000.pche").write_bytes(b"too small to be read")
+        before = {q.name: q.stat().st_mtime_ns for q in tmp_path.iterdir()}
+        monkeypatch.setenv("CDTLAB_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(ch, "_TABLE", None)
+
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("the cached table should have been loaded")
+
+        monkeypatch.setattr(ch, "primes_up_to", no_sieve)
+        table = ch.prime_table(5 * 10**4)
+        assert table.limit == 10**5 and table.count() == 9592
+        assert {q.name: q.stat().st_mtime_ns for q in tmp_path.iterdir()} == before
+
+    def test_damaged_larger_file_is_rebuilt_at_its_limit(self, tmp_path, monkeypatch):
+        path = tmp_path / "primes_100000.pche"
+        primes_up_to(10**5).save(path)
+        path.write_bytes(path.read_bytes()[:6000])
+        monkeypatch.setenv("CDTLAB_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(ch, "_TABLE", None)
+        with pytest.warns(UserWarning, match=f"rebuilding prime cache .*{path.name}"):
+            assert ch.prime_table(5 * 10**4).limit == 10**5
+        assert PrimeCache.load(path).count() == 9592
+        assert [q.name for q in tmp_path.iterdir()] == [path.name]
+
 
 class TestExperiment:
     def test_plain(self):

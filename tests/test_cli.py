@@ -63,6 +63,11 @@ class TestCount:
             "overflows int64 lattice arithmetic\n"
         )
 
+    def test_negative_x_counts_nothing(self, capsys):
+        code, out = run(capsys, "count", "1", "1", "6", "-5")
+        assert code == 0
+        assert json.loads(out)["lattice_points"] == 0
+
     def test_indefinite_rejected(self, capsys):
         code, _ = run(capsys, "count", "1", "5", "1", "100")
         assert code == 2
@@ -174,6 +179,43 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "1", "1", "6", "1e4"],
+            ["experiment", "1", "0", "1", "--modulus", "15", "--x", "1e4"],
+            ["verify"],
+        ],
+    )
+    def test_workers_below_one_rejected(self, capsys, argv, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"cdtlab {argv[0]}: error: argument --workers: must be at least 1, got {workers}"
+        ]
+
+    def test_no_scipy_on_the_count_path(self):
+        # a fresh interpreter: other tests import scipy in this one
+        code = """
+import contextlib, io, sys
+from cdtlab import chebotarev, cli, quadforms
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["count", "1", "1", "6", "1e5"]) == 0
+    assert cli.main(["experiment", "1", "0", "1", "--modulus", "15015", "--x", "1e5"]) == 0
+chebotarev.bridge_check(quadforms.Form(1, 1, 6), 1e4)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script(self):
         proc = subprocess.run(
