@@ -314,6 +314,12 @@ _EULER_GAMMA = 0.5772156649015329
 _LI_2 = 1.0451637801174928  # li(2), the principal value from 0
 
 
+def check_finite(x: float) -> None:
+    """Reject a bound x that is NaN or infinite, before any int(x)."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be a finite number, got {x}")
+
+
 @lru_cache(maxsize=4096)
 def li(x: float) -> float:
     """Logarithmic integral Li(x) = int_2^x dt/log t.
@@ -328,6 +334,7 @@ def li(x: float) -> float:
     term is below 1e-17 of the partial sum.  The absolute error is below
     1e-14 * max(1, Li(x)) for 2 <= x <= 1e15.
     """
+    check_finite(x)  # the series would never stop
     if x < 2:
         raise ValueError("li requires x >= 2")
     if x == 2:

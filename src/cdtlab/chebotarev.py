@@ -5,8 +5,11 @@ evaluation orders of the sieved sum S are one weighted sum over the
 lattice points with prime value, taken by a single kernel: they differ
 only in residue tables built from gcds with the sieving modulus.  The
 kernel walks half the plane against a cached sieve table, in numpy
-blocks, optionally in strips across forked worker processes.  Dividing
-by the unit count turns a lattice total into a prime-ideal count.
+blocks, optionally in strips across forked worker processes.  It builds
+only the points whose value is prime to 30, a wheel as in the sieve of
+Atkin and Bernstein (Math. Comp. 73, 2004), and adds the values 2, 3
+and 5 by a pass over the tiny ellipse f(u, v) <= 5.  Dividing by the
+unit count turns a lattice total into a prime-ideal count.
 
 The prime-power events behind the Chebyshev-style sums psi_C, their
 smoothed variants and the partial-summation bridge back to pi_C follow
@@ -37,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import PrimeCache, kronecker, li, primes_up_to
+from .arith import PrimeCache, check_finite, kronecker, li, primes_up_to
 from .betasieve import theta_map
 from .densities import (
     SievingModulus,
@@ -127,14 +130,20 @@ def prime_table(limit: int) -> PrimeCache:
 # _lattice_sum returns the sum of w_u[u % m] * w_v[v % m] over the pairs
 # with f(u, v) = n a prime <= x and n_ok[n % k] nonzero.  Each table must
 # depend on its residue only through the gcd with its modulus, so that
-# (-u, -v) weighs the same as (u, v): the strips cover u >= 1, their sum
-# is doubled and the row u = 0 added once.  The tables are read on the
-# prime hits only, a few percent of the points.  Strips depend on the
-# form and x alone and partial sums are exact integers, so the total is
-# independent of the worker count.  Forked workers find the strip
-# closure in _STRIP, set just before the fork; only bounds are pickled.
+# (-u, -v) weighs the same as (u, v): the pass over u >= 1 is doubled and
+# the row u = 0 added once.  Both walk the wheel mod 30: only the points
+# with gcd(f(u, v), 30) = 1 are built, about a tenth of the ellipse, and
+# a prime among them is 7 or more.  The points of value 2, 3 or 5 come
+# from a second pass over the whole (tiny) ellipse f(u, v) <= min(x, 5),
+# weighed by the same tables.  The tables are read on the prime hits
+# only.  With workers the half-plane is cut into strips that depend on
+# the form and x alone, and partial sums are exact integers, so the
+# total is independent of the worker count.  Forked workers find the
+# strip closure in _STRIP, set just before the fork; only bounds are
+# pickled.
 
 _STRIP = None
+_WHEEL = 30  # = 2 * 3 * 5
 
 
 def _run_strip(u_lo: int, u_hi: int) -> int:
@@ -146,33 +155,39 @@ def _lattice_sum(
 ) -> int:
     global _STRIP
     f.check_positive_definite()
+    check_finite(x)
     if x < 2:
         return 0  # no prime is <= x
     x = int(x)
     flags = prime_table(x).flags
     k, m = len(n_ok), len(w_u)
 
-    def strip(u_lo: int, u_hi: int) -> int:
+    def weigh(blocks) -> int:
         total = 0
-        for U, V, N in represented_blocks(f, x, u_lo, u_hi):
-            hit = flags[N]
+        for U, V, N in blocks:
+            hit = np.flatnonzero(flags[N])
             w = w_u[U[hit] % m] * n_ok[N[hit] % k]
             total += int(np.dot(w, w_v[V[hit] % m]))
         return total
 
+    def strip(u_lo: int, u_hi: int) -> int:
+        return weigh(represented_blocks(f, x, u_lo, u_hi, wheel=_WHEEL))
+
     U = _u_bound(f, x)
-    chunk = max(1, U // 32)
-    jobs = [(lo, min(lo + chunk - 1, U)) for lo in range(1, U + 1, chunk)]
     if workers <= 1:
-        half = sum(strip(*j) for j in jobs)
+        half = strip(1, U)
     else:
+        chunk = max(1, U // 32)
+        jobs = [(lo, min(lo + chunk - 1, U)) for lo in range(1, U + 1, chunk)]
         _STRIP = strip
         try:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 half = sum(pool.starmap(_run_strip, jobs))
         finally:
             _STRIP = None
-    return 2 * half + strip(0, 0)
+    # the primes 2, 3 and 5 that the wheel skips, over the whole plane
+    small = weigh(represented_blocks(f, min(x, 5)))
+    return 2 * half + strip(0, 0) + small
 
 
 def _coprime_residues(m: int) -> np.ndarray:
@@ -263,6 +278,7 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
     primes dividing the conductor are left out; at the scales handled
     here their contribution is below every tolerance in use.
     """
+    check_finite(bound)
     target = reduce_form(target)
     D = target.discriminant
     bound = int(bound)

@@ -183,8 +183,15 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error: <prog>: <message>` line."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="cdtlab")
+    top = _Parser(prog="cdtlab")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_form(p):

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import factorize, kronecker, sqrt_mod
+from .arith import check_finite, factorize, kronecker, sqrt_mod
 
 __all__ = [
     "Form",
@@ -247,19 +247,42 @@ def _u_bound(f: Form, x: float) -> int:
     return math.isqrt(int(4 * f.c * x / abs(f.discriminant))) + 1
 
 
+@lru_cache(maxsize=256)
+def _wheel_table(f: Form, wheel: int) -> np.ndarray:
+    """[gcd(f(u0, r), wheel) = 1] for the residues u0 (rows) and r mod wheel."""
+    a, b, c = (k % wheel for k in f)  # f(u0, r) mod W, free of overflow
+    r = np.arange(wheel, dtype=np.int64)
+    u0 = r[:, None]
+    table = np.gcd(a * u0 * u0 + b * u0 * r + c * r * r, wheel) == 1
+    table.setflags(write=False)
+    return table
+
+
 def represented_blocks(
     f: Form,
     x: float,
     u_lo: int | None = None,
     u_hi: int | None = None,
     max_block: int = 1 << 14,
+    *,
+    wheel: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield numpy blocks (U, V, N) covering every integer pair with
-    0 < f(u, v) <= x and u in [u_lo, u_hi], each pair exactly once.
+    0 < f(u, v) <= x, gcd(f(u, v), wheel) = 1 and u in [u_lo, u_hi],
+    each pair exactly once.
 
     The u-range defaults to the full ellipse; disjoint u-ranges partition
-    the solution set, which is what the parallel counters rely on.  A
-    block of max_block points keeps its int64 temporaries within a
+    the solution set, which is what the parallel counters rely on.
+
+    The default wheel = 1 yields every point.  With a wheel W > 1 a row
+    u walks only the residues r mod W with gcd(f(u, r), W) = 1, read
+    from a W x W table, stepping v by W from the first such v in the
+    row's range (Pritchard, Acta Inf. 17, 1982; Atkin and Bernstein,
+    Math. Comp. 73, 2004).  Rows with no such residue are never built.
+    W = 30 keeps 7 to 11 percent of the points for the forms of
+    D = -23, -47 and -71, and 28 percent for u^2 + v^2.
+
+    A block of max_block points keeps its int64 temporaries within a
     core's L2 cache, so a lattice pass is not bound by the memory bus
     that other processes share.  It also keeps them, about 1 MB, under
     the heap-trim threshold that glibc's malloc sets once the sieve has
@@ -267,6 +290,7 @@ def represented_blocks(
     back to the system and was faulted in again.
     """
     f.check_positive_definite()
+    check_finite(x)
     if x < 1:
         return
     if 4 * f.c * int(x) > np.iinfo(np.int64).max:
@@ -280,26 +304,37 @@ def represented_blocks(
     hi = U if u_hi is None else min(u_hi, U)
     if lo > hi:
         return
-    # a row u holds about 2*sqrt(x/c) points: blocks of whole rows, with
-    # the v-ranges of 16 blocks' rows computed at once
-    rows = max(1, int(max_block / (2 * math.sqrt(x / c) + 3)))
-    for start in range(lo, hi + 1, 16 * rows):
-        us = np.arange(start, min(start + 16 * rows, hi + 1), dtype=np.int64)
+    # a row u holds at most (2*sqrt(x/c) + 2)/W + 1 points per admissible
+    # residue: blocks of whole runs (one per row and residue), with the
+    # v-ranges of up to 16 blocks' runs computed at once
+    table = _wheel_table(f, wheel)
+    runs = max(1, int(max_block / ((2 * math.sqrt(x / c) + 2) / wheel + 1)))
+    span = max(1, 16 * runs // max(1, int(table.sum(axis=1).max())))
+    for start in range(lo, hi + 1, span):
+        us = np.arange(start, min(start + span, hi + 1), dtype=np.int64)
         disc = D * us * us + 4 * c * int(x)
         keep = disc >= 0
         us = us[keep]
         root = np.sqrt(disc[keep].astype(np.float64))
         vlo = np.ceil((-b * us - root) / (2 * c)).astype(np.int64) - 1
         vhi = np.floor((-b * us + root) / (2 * c)).astype(np.int64) + 1
-        counts = np.maximum(vhi - vlo + 1, 0)
-        for i in range(0, us.size, rows):
-            n = counts[i : i + rows]
+        if wheel > 1:
+            # one run per row u and residue r with gcd(f(u, r), W) = 1,
+            # from the first v = r (mod W) at or above vlo
+            row, r = np.nonzero(table[us % wheel])
+            us, vhi = us[row], vhi[row]
+            vlo = vlo[row] + (r - vlo[row]) % wheel
+        counts = np.maximum((vhi - vlo) // wheel + 1, 0)
+        for i in range(0, us.size, runs):
+            n = counts[i : i + runs]
             total = int(n.sum())
             if total == 0:
                 continue
-            Ub = np.repeat(us[i : i + rows], n)
-            offsets = np.repeat(np.cumsum(n) - n, n)
-            Vb = np.repeat(vlo[i : i + rows], n) + (np.arange(total, dtype=np.int64) - offsets)
+            Ub = np.repeat(us[i : i + runs], n)
+            step = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
+            if wheel > 1:
+                step *= wheel
+            Vb = np.repeat(vlo[i : i + runs], n) + step
             N = a * Ub * Ub + b * Ub * Vb + c * Vb * Vb
             mask = (N >= 1) & (N <= int(x))
             yield Ub[mask], Vb[mask], N[mask]

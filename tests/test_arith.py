@@ -173,6 +173,12 @@ class TestLi:
             oracle = float(mpmath.li(x) - mpmath.li(2))
             assert abs(arith.li(x) - oracle) <= 1e-12 * max(1.0, oracle), x
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_rejected(self, x):
+        # the series has no stopping point at NaN or infinity
+        with pytest.raises(ValueError, match=f"^x must be a finite number, got {x}$"):
+            arith.li(x)
+
     def test_exact_zero_and_monotone_near_two(self):
         vals = [arith.li(2.0 + i / 4000) for i in range(4001)]
         assert vals[0] == 0.0

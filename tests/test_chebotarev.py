@@ -1,8 +1,11 @@
+import bisect
 import functools
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdtlab import chebotarev as ch
 from cdtlab import densities as de
@@ -21,6 +24,60 @@ def brute_prime_points(f, x, cond=None):
             if 1 <= n <= x and is_prime(n) and (cond is None or cond(u, v, n)):
                 total += 1
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def prime_values(f, x):
+    """Sorted prime values f(u, v) <= x, one per pair (u, v), by brute
+    force over |u| <= sqrt(4cx/|D|) and |v| <= sqrt(4ax/|D|)."""
+    D = -f.discriminant
+    ub = math.isqrt(4 * f.c * x // D) + 1
+    vb = math.isqrt(4 * f.a * x // D) + 1
+    values = (f(u, v) for u in range(-ub, ub + 1) for v in range(-vb, vb + 1))
+    return sorted(n for n in values if n <= x and is_prime(n))
+
+
+# every reduced form a u^2 + b uv + c v^2 with |D| <= 200, imprimitive ones too
+REDUCED_200 = [
+    qf.Form(a, b, c)
+    for a in range(1, 9)
+    for b in range(-a + 1, a + 1)
+    for c in range(a, (200 + b * b) // (4 * a) + 1)
+    if b * b - 4 * a * c >= -200 and not (a == c and b < 0)
+]
+
+
+class TestWheel:
+    # forms that represent 2, 3 or 5, the primes the wheel mod 30 skips
+    FORMS = [
+        qf.Form(1, 0, 1),
+        qf.Form(1, 1, 1),
+        qf.Form(2, 1, 3),
+        qf.Form(3, 1, 4),
+        qf.Form(1, 1, 6),
+        qf.Form(2, 0, 3),
+        qf.Form(3, 2, 3),
+    ]
+
+    @pytest.mark.parametrize("f", FORMS, ids=lambda f: "_".join(map(str, f)))
+    @pytest.mark.parametrize("x", [2, 3, 4, 5, 6, 29, 30, 31, 1000])
+    def test_small_values_vs_bruteforce(self, f, x):
+        values = prime_values(f, 1000)
+        assert ch.count_prime_points(f, x) == bisect.bisect_right(values, x)
+
+    @given(st.sampled_from(REDUCED_200), st.integers(min_value=0, max_value=600))
+    @settings(max_examples=300, deadline=None)
+    def test_reduced_forms_vs_bruteforce(self, f, x):
+        assert ch.count_prime_points(f, x) == len(prime_values(f, x))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, x):
+        f = qf.Form(1, 1, 6)
+        with pytest.raises(ValueError, match=f"^x must be a finite number, got {x}$"):
+            ch.count_prime_points(f, x)
+        if not x < 100:  # bridge_check turns -inf away as below 100
+            with pytest.raises(ValueError, match=f"^x must be a finite number, got {x}$"):
+                ch.bridge_check(f, x)
 
 
 class TestCounting:
@@ -303,8 +360,16 @@ def brute_theta(w, n):
 
 
 class TestTablesVsBruteforce:
-    # prime c (forms (2,1,3) and (4,3,5)) puts prime points on the row u = 0
-    FORMS = [qf.Form(1, 0, 1), qf.Form(2, 1, 3), qf.Form(4, 3, 5), qf.Form(1, 1, 6)]
+    # prime c (forms (2,1,3) and (4,3,5)) puts prime points on the row u = 0;
+    # (1,1,1) and (2,0,3) represent 3, and the latter 2 and 5 too
+    FORMS = [
+        qf.Form(1, 0, 1),
+        qf.Form(2, 1, 3),
+        qf.Form(4, 3, 5),
+        qf.Form(1, 1, 6),
+        qf.Form(1, 1, 1),
+        qf.Form(2, 0, 3),
+    ]
     X = 1000
 
     @pytest.mark.parametrize("f", FORMS)

@@ -195,9 +195,38 @@ class TestUsage:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == [
-            f"cdtlab {argv[0]}: error: argument --workers: must be at least 1, got {workers}"
+        assert captured.err.splitlines() == [
+            f"error: cdtlab {argv[0]}: argument --workers: must be at least 1, got {workers}"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "1", "1", "6", "nan"],
+            ["count", "1", "1", "6", "inf"],
+            ["count", "1", "1", "6", "--", "-inf"],
+            ["count", "1", "1", "6", "inf", "--per-class"],
+            ["experiment", "1", "0", "1", "--modulus", "15", "--x", "nan"],
+            ["experiment", "1", "0", "1", "--modulus", "15", "--x", "inf"],
+            ["experiment", "1", "0", "1", "--modulus", "15", "--x=-inf"],
+        ],
+        ids=[
+            "count-nan",
+            "count-inf",
+            "count-minus-inf",
+            "per-class-inf",
+            "experiment-nan",
+            "experiment-inf",
+            "experiment-minus-inf",
+        ],
+    )
+    def test_non_finite_x_rejected(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        x = next(a for a in argv if "inf" in a or "nan" in a).removeprefix("--x=")
+        assert captured.err.splitlines() == [
+            f"error: x must be a finite number, got {float(x)}"
         ]
 
     def test_no_scipy_on_the_count_path(self):

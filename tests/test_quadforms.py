@@ -193,6 +193,46 @@ class TestLattice:
             )
         assert whole == pieces
 
+    @pytest.mark.parametrize("wheel", [6, 30])
+    def test_wheel_strip_partition(self, wheel):
+        f = qf.Form(1, 1, 6)
+        x = 5000
+        whole = sum(len(N) for _, _, N in qf.represented_blocks(f, x, wheel=wheel))
+        pieces = 0
+        for lo in range(-80, 81, 7):
+            pieces += sum(
+                len(N)
+                for _, _, N in qf.represented_blocks(f, x, lo, lo + 6, wheel=wheel)
+            )
+        assert whole == pieces
+
+    @pytest.mark.parametrize(
+        "f,x",
+        [
+            (qf.Form(1, 0, 1), 200),
+            (qf.Form(1, 1, 6), 300),
+            (qf.Form(2, 1, 3), 150),
+            (qf.Form(3, 2, 5), 500),
+            (qf.Form(4, 3, 5), 700),
+        ],
+    )
+    @pytest.mark.parametrize("wheel", [2, 6, 30])
+    def test_wheel_blocks_vs_bruteforce(self, f, x, wheel):
+        # small blocks, so that rows and residue runs span several blocks
+        got = []
+        for U, V, N in qf.represented_blocks(f, x, max_block=64, wheel=wheel):
+            for u, v, n in zip(U.tolist(), V.tolist(), N.tolist()):
+                assert f(u, v) == n
+                got.append((u, v))
+        want = {(u, v) for u, v in self.brute(f, x) if math.gcd(f(u, v), wheel) == 1}
+        assert len(got) == len(set(got))
+        assert set(got) == want
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, x):
+        with pytest.raises(ValueError, match=f"^x must be a finite number, got {x}$"):
+            next(qf.represented_blocks(qf.Form(1, 1, 6), x))
+
 
 class TestPrimeToClass:
     # every prime p < 250, 2 and the ramified ones included; -12, -27 and
