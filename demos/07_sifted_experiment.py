@@ -11,7 +11,7 @@ f = Form(1, 0, 1)
 
 rep = theorem15_experiment(f, SievingModulus.from_int(15), 1e6)
 print(f"P = 15, x = 1e6: count = {rep.lhs:.1f}, predicted = {rep.rhs:.1f}")
-print(f"  density = {rep.extras['density']:.6f}, rel error = {rep.rel_error:.3%}")
+print(f"  density = {rep.density:.6f}, rel error = {rep.rel_error:.3%}")
 print()
 
 rep = theorem15_experiment(f, SievingModulus.from_int(3 * 5 * 7 * 11), 1e6)

@@ -131,7 +131,10 @@ class PrimeCache:
         return cache
 
 
-def primes_up_to(x: int, segment: int = 1 << 20) -> PrimeCache:
+_SEGMENT = 1 << 20  # integers sieved per numpy segment
+
+
+def primes_up_to(x: int) -> PrimeCache:
     """Segmented sieve of Eratosthenes producing a PrimeCache up to x."""
     if x < 2:
         raise ValueError("primes_up_to requires x >= 2")
@@ -151,7 +154,7 @@ def primes_up_to(x: int, segment: int = 1 << 20) -> PrimeCache:
     flags[: root + 1] = base
     lo = root + 1
     while lo <= x:
-        hi = min(lo + segment, x + 1)
+        hi = min(lo + _SEGMENT, x + 1)
         seg = np.ones(hi - lo, dtype=bool)
         for p in base_primes:
             p = int(p)

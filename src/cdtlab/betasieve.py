@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .arith import factorize
+from .arith import divisors, factorize, is_prime
 
 __all__ = [
     "SieveSpec",
@@ -45,6 +45,13 @@ class SieveSpec:
     def __post_init__(self):
         if self.kind not in ("upper", "lower"):
             raise ValueError(f"kind must be 'upper' or 'lower', got {self.kind!r}")
+        if not self.z > 1:
+            raise ValueError(f"sifting level z must exceed 1, got {self.z}")
+        for p in self.support:
+            if not is_prime(p):
+                raise ValueError(f"support entry {p} is not a prime")
+        if len(set(self.support)) < len(self.support):
+            raise ValueError(f"support primes must be distinct, got {self.support}")
         if self.beta is None:
             object.__setattr__(self, "beta", 9 * self.kappa + 1)
         if self.beta < 1:
@@ -157,13 +164,6 @@ def reduced_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> F
     return total
 
 
-def _squarefree_support_divisors(support: tuple[int, ...]) -> list[int]:
-    divs = [1]
-    for p in support:
-        divs += [d * p for d in divs]
-    return sorted(divs)
-
-
 def invert_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> Fraction:
     """The same G evaluated through theta = 1 * lambda:
 
@@ -177,7 +177,7 @@ def invert_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> Fr
     for p in support:
         if d.g1.get(p, Fraction(0)) + d.g2.get(p, Fraction(0)) >= 1:
             raise ValueError(f"inversion needs g'(p) + g''(p) < 1 at p = {p}")
-    divs = _squarefree_support_divisors(support)
+    divs = divisors(math.prod(support))
     th1 = theta_map(w1, divs)
     th2 = theta_map(w2, divs)
     total = Fraction(0)
@@ -307,7 +307,7 @@ def composition_bounds_check(
     err = math.exp(9 * kappa - s) * K**10
 
     h1, h2, _, _ = tilde_transforms(d)
-    divs = _squarefree_support_divisors(support)
+    divs = divisors(math.prod(support))
     th1 = theta_map(w1, divs)
     th2 = theta_map(w2, divs)
     fsum1 = sum((th1[b] * _eval_multiplicative(h1, b) for b in divs), Fraction(0))

@@ -34,7 +34,7 @@ import math
 import multiprocessing
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,10 +234,18 @@ def pi_class_scan(target: Form, x: float) -> int:
     return total
 
 
+def _li_above_2(x: float) -> float:
+    """Li(x) for a report that divides by it: x <= 2 is rejected."""
+    check_finite(x)
+    if x <= 2:
+        raise ValueError(f"x must exceed 2, since Li(2) = 0; got x = {x}")
+    return li(x)
+
+
 def equidistribution_report(D: int, x: float, workers: int = 1) -> dict:
     """Per-class prime-ideal counts against the common target Li(x)/h."""
     cl = class_representatives(D)
-    expected = li(x) / cl.h
+    expected = _li_above_2(x) / cl.h
     rows = []
     worst = 0.0
     for f in cl.representatives:
@@ -285,26 +293,23 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
     root = math.isqrt(bound)
     flags = prime_table(bound).flags
     small = np.flatnonzero(flags[: root + 1]).tolist()
-    # mark 1: a prime; 2: a power p^j, j >= 2, of the prime base[p^j];
-    # 3: a prime or prime power that `target` properly represents
+    # mark 1: a prime power p^j <= bound, j >= 1, of the prime base.get(n, n);
+    # 2: one that `target` properly represents
     mark = flags[: bound + 1].astype(np.uint8)
     base = {}
     for p in small:
         n = p * p
         while n <= bound:
-            mark[n] = 2
+            mark[n] = 1
             base[n] = p
             n *= p
 
     # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value
     for U, V, N in represented_blocks(target, bound, 0):
-        m = mark[N]
-        keep = m == 1
-        power = np.flatnonzero(m == 2)
-        keep[power] = np.gcd(U[power], V[power]) == 1
-        mark[N[keep]] = 3
+        hit = np.flatnonzero(mark[N])
+        mark[N[hit[np.gcd(U[hit], V[hit]) == 1]]] = 2
     events: list[tuple[int, float, bool]] = []
-    for n in np.flatnonzero(mark == 3).tolist():
+    for n in np.flatnonzero(mark == 2).tolist():
         p = base.get(n, n)
         if D % p:
             events.append((n, math.log(p), n == p))
@@ -491,23 +496,10 @@ class ExperimentReport:
     obstructed: bool
     trivially_true: bool
     passed: bool
-    extras: dict = field(default_factory=dict)
+    density: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "rel_error": self.rel_error,
-                "budget": self.budget,
-                "obstructed": self.obstructed,
-                "trivially_true": self.trivially_true,
-                "passed": self.passed,
-                **self.extras,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def theorem15_experiment(
@@ -521,8 +513,8 @@ def theorem15_experiment(
     """Count odd primes f(u, v) <= x coprime to P with both coordinates
     coprime to P, against the prediction delta_f(P) Li(x) / h.
 
-    When the parity obstruction holds the left side must vanish exactly
-    and the statement is trivially true.
+    When delta_f(P) vanishes, as under the parity obstruction, the left
+    side must vanish exactly and the statement is trivially true.
     """
     f = reduce_form(f)
     D = f.discriminant
@@ -530,36 +522,18 @@ def theorem15_experiment(
     coprime = _coprime_residues(P.P)
     count = _lattice_sum(f, x, workers, _coprime_residues(2 * P.P), coprime, coprime)
     lhs = count / stab_order(D)
-    dens = delta_f(f, P)
-    rhs = float(dens) * li(x) / h
-    obstructed = represents_odd_primes_obstructed(f, P)
-    budget = None
-    if model is not None:
-        budget = remainder_R(x, math.sqrt(P.P) + 1, P.P, model)
-    config = {"form": list(f), "D": D, "P": P.P, "z": P.z, "x": x, "h": h}
-    if dens == 0:
-        # covers the parity case and any other vanishing local density
-        passed = lhs == 0.0
-        return ExperimentReport(
-            config=config,
-            lhs=lhs,
-            rhs=0.0,
-            rel_error=None,
-            budget=budget,
-            obstructed=obstructed,
-            trivially_true=passed,
-            passed=passed,
-            extras={"density": 0.0},
-        )
-    rel = abs(lhs - rhs) / rhs if rhs else math.inf
+    dens = float(delta_f(f, P))
+    rhs = dens * _li_above_2(x) / h
+    rel = None if dens == 0 else abs(lhs - rhs) / rhs
+    passed = lhs == 0.0 if dens == 0 else rel <= tolerance
     return ExperimentReport(
-        config=config,
+        config={"form": list(f), "D": D, "P": P.P, "z": P.z, "x": x, "h": h},
         lhs=lhs,
         rhs=rhs,
         rel_error=rel,
-        budget=budget,
-        obstructed=False,
-        trivially_true=False,
-        passed=rel <= tolerance,
-        extras={"density": float(dens)},
+        budget=None if model is None else remainder_R(x, math.sqrt(P.P) + 1, P.P, model),
+        obstructed=represents_odd_primes_obstructed(f, P),
+        trivially_true=dens == 0 and passed,
+        passed=passed,
+        density=dens,
     )

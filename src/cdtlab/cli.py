@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
+from dataclasses import asdict
 
 from . import betasieve, chebotarev, densities, errorterms, quadforms, verify, weights
 
@@ -113,7 +115,9 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    if args.epsilon is not None and args.ell is not None:
+    if (args.epsilon is None) != (args.ell is None):
+        args.parser.error("--epsilon and --ell go together: give both or neither")
+    if args.epsilon is not None:
         params = weights.WeightParams(x=args.x, epsilon=args.epsilon, ell=args.ell)
     else:
         params = weights.WeightParams.standard_choice(args.x, args.n_K, args.c_ZDE)
@@ -165,11 +169,7 @@ def _cmd_experiment(args) -> int:
     report = chebotarev.theorem15_experiment(
         f, P, args.x, workers=args.workers, tolerance=args.tolerance
     )
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(asdict(report), args)
     return 0 if report.passed else 1
 
 
@@ -184,7 +184,13 @@ def _cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one `error: <prog>: <message>` line."""
+    """Reports a usage error as one `error: <prog>: <message>` line, and
+    takes a token shaped like a negative float (-1e7, -.5, -inf, -nan)
+    for a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message: str):
         self.exit(2, f"error: {self.prog}: {message}\n")
@@ -236,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-K", type=int, default=2)
     p.add_argument("--c-ZDE", type=int, default=10)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_weights)
+    p.set_defaults(fn=_cmd_weights, parser=p)
 
     p = sub.add_parser("bounds", help="analytic error bound calculus")
     p.add_argument("--x", type=float, required=True)

@@ -75,15 +75,12 @@ def g_dprime(p: int, f: Form, P: SievingModulus) -> Fraction:
 
 
 def delta_f(f: Form, P: SievingModulus) -> Fraction:
-    """Euler product over p | P of
-    1 - (2 - [p|a] - [p|c]) / (p - (D/p)); always >= 0."""
+    """Euler product over p | P of 1 - g'(p) - g''(p); always >= 0."""
     if not f.is_primitive:
         raise ValueError("delta_f requires a primitive form")
-    D = f.discriminant
     out = Fraction(1)
     for p in P.prime_factors:
-        missing = 2 - (f.a % p == 0) - (f.c % p == 0)
-        out *= 1 - Fraction(missing, p - kronecker(D, p))
+        out *= 1 - g_prime(p, f, P) - g_dprime(p, f, P)
     assert out >= 0
     return out
 

@@ -181,8 +181,11 @@ def _check_chebotarev(workers: int = 1) -> list[Check]:
     return out
 
 
-def run_checks(full: bool = False, seed: int = 7, workers: int = 1) -> list[Check]:
-    rng = random.Random(seed)
+_SEED = 7  # the randomized checks draw the same cases on every run
+
+
+def run_checks(full: bool = False, workers: int = 1) -> list[Check]:
+    rng = random.Random(_SEED)
     checks = (
         _check_arith(rng)
         + _check_quadforms(rng)

@@ -38,6 +38,23 @@ class TestSpec:
         with pytest.raises(ValueError):
             bs.SieveSpec(z=5.0, R=100.0, kind="upper", support=(2, 3, 7))
 
+    @pytest.mark.parametrize("n", [1, 4, 6, 9])
+    def test_rejects_non_prime_support(self, n):
+        with pytest.raises(ValueError, match=f"^support entry {n} is not a prime$"):
+            bs.SieveSpec(z=10.0, R=1e4, kind="upper", support=(3, n))
+
+    def test_rejects_repeated_support_prime(self):
+        # a repeated 3 would give the non-squarefree 9 a weight
+        message = r"^support primes must be distinct, got \(3, 3, 5\)$"
+        with pytest.raises(ValueError, match=message):
+            bs.SieveSpec(z=8.0, R=1e10, kind="upper", support=(3, 3, 5))
+
+    @pytest.mark.parametrize("z", [1.0, 0.5, -2.0])
+    def test_rejects_z_at_most_one(self, z):
+        # log z <= 0 would make s = log R / log z meaningless
+        with pytest.raises(ValueError, match=f"^sifting level z must exceed 1, got {z}$"):
+            bs.SieveSpec(z=z, R=1e4, kind="upper")
+
 
 class TestWeights:
     def test_lambda_is_mobius(self):

@@ -471,3 +471,31 @@ class TestExperiment:
         P = de.SievingModulus.from_int(15)
         rep = ch.theorem15_experiment(f, P, 1e5, model=ErrorModel(D_K=4.0))
         assert rep.budget is not None and rep.budget > 0
+
+    def test_density_and_flags(self):
+        f = qf.Form(1, 0, 1)
+        P = de.SievingModulus.from_int(15)
+        rep = ch.theorem15_experiment(f, P, 1e5)
+        assert rep.density == float(de.delta_f(f, P)) == 0.25  # (1 - 2/4)^2
+        assert not rep.trivially_true
+        assert rep.rhs == rep.density * li(1e5)
+
+    def test_vanishing_density_without_obstruction(self):
+        # (4, 3, 5), D = -71 = 1 (mod 3): 3 splits and divides neither a nor
+        # c, so g'(3) + g''(3) = 1 although P is odd
+        f = qf.Form(4, 3, 5)
+        P = de.SievingModulus.from_int(3)
+        rep = ch.theorem15_experiment(f, P, 1e5)
+        assert not rep.obstructed
+        assert rep.density == 0.0 and rep.rhs == 0.0 and rep.rel_error is None
+        assert rep.lhs == 0.0 and rep.trivially_true and rep.passed
+
+    @pytest.mark.parametrize("x", [2, 1.5])
+    def test_x_at_most_two_rejected(self, x):
+        # Li(2) = 0, and both reports divide by Li(x)
+        message = f"^x must exceed 2, since Li\\(2\\) = 0; got x = {x}$"
+        f = qf.Form(1, 0, 1)
+        with pytest.raises(ValueError, match=message):
+            ch.theorem15_experiment(f, de.SievingModulus.from_int(15), x)
+        with pytest.raises(ValueError, match=message):
+            ch.equidistribution_report(-4, x)

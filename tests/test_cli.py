@@ -68,6 +68,12 @@ class TestCount:
         assert code == 0
         assert json.loads(out)["lattice_points"] == 0
 
+    def test_negative_float_x_is_a_value(self, capsys):
+        # argparse would take -1e7 for an option without _Parser's matcher
+        code, out = run(capsys, "count", "1", "1", "6", "-1e7")
+        assert code == 0
+        assert json.loads(out)["lattice_points"] == 0
+
     def test_indefinite_rejected(self, capsys):
         code, _ = run(capsys, "count", "1", "5", "1", "100")
         assert code == 2
@@ -110,6 +116,21 @@ class TestSieve:
                   "--support", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--z", "8", "--support", "3,4"], "support entry 4 is not a prime"),
+            (["--z", "1", "--support", "3"], "sifting level z must exceed 1, got 1.0"),
+            (["--z", "8", "--support", "3,3,5"], "support primes must be distinct, got (3, 3, 5)"),
+        ],
+        ids=["composite-support", "z-one", "repeated-support"],
+    )
+    def test_bad_spec_rejected(self, capsys, argv, message):
+        assert main(["sieve", "--R", "1e10", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
 
 class TestWeights:
     def test_explicit_params(self, capsys):
@@ -118,6 +139,19 @@ class TestWeights:
         )
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "given", [["--epsilon", "0.05"], ["--ell", "4"]], ids=["epsilon", "ell"]
+    )
+    def test_lone_epsilon_or_ell_rejected(self, capsys, given):
+        with pytest.raises(SystemExit) as exc:
+            main(["weights", "--x", "1e5", *given])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: cdtlab weights: --epsilon and --ell go together: give both or neither"
+        ]
 
 
 class TestBounds:
@@ -155,8 +189,15 @@ class TestExperiment:
             "--x", "1e6", "--out", str(out_path),
         )
         assert code == 0
-        data = json.loads(out_path.read_text())
+        assert out_path.read_text() == out
+        data = json.loads(out)
         assert data["passed"] is True
+        # the order users and the benchmark's sifted job read the report in
+        assert list(data) == [
+            "config", "lhs", "rhs", "rel_error", "budget",
+            "obstructed", "trivially_true", "passed", "density",
+        ]
+        assert list(data["config"]) == ["form", "D", "P", "z", "x", "h"]
 
     def test_obstructed_passes(self, capsys):
         code, out = run(
@@ -205,6 +246,7 @@ class TestUsage:
             ["count", "1", "1", "6", "nan"],
             ["count", "1", "1", "6", "inf"],
             ["count", "1", "1", "6", "--", "-inf"],
+            ["count", "1", "1", "6", "-inf"],
             ["count", "1", "1", "6", "inf", "--per-class"],
             ["experiment", "1", "0", "1", "--modulus", "15", "--x", "nan"],
             ["experiment", "1", "0", "1", "--modulus", "15", "--x", "inf"],
@@ -214,6 +256,7 @@ class TestUsage:
             "count-nan",
             "count-inf",
             "count-minus-inf",
+            "count-minus-inf-no-dashes",
             "per-class-inf",
             "experiment-nan",
             "experiment-inf",
@@ -227,6 +270,23 @@ class TestUsage:
         x = next(a for a in argv if "inf" in a or "nan" in a).removeprefix("--x=")
         assert captured.err.splitlines() == [
             f"error: x must be a finite number, got {float(x)}"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "1", "1", "6", "2", "--per-class"],
+            ["experiment", "1", "0", "1", "--modulus", "15", "--x", "2"],
+        ],
+        ids=["per-class", "experiment"],
+    )
+    def test_x_at_two_rejected(self, capsys, argv):
+        # both reports divide by Li(x), and Li(2) = 0
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: x must exceed 2, since Li(2) = 0; got x = 2.0"
         ]
 
     def test_no_scipy_on_the_count_path(self):
