@@ -47,6 +47,8 @@ class SieveSpec:
             raise ValueError(f"kind must be 'upper' or 'lower', got {self.kind!r}")
         if not self.z > 1:
             raise ValueError(f"sifting level z must exceed 1, got {self.z}")
+        if not math.isfinite(self.R):
+            raise ValueError(f"level R must be a finite number, got {self.R}")
         for p in self.support:
             if not is_prime(p):
                 raise ValueError(f"support entry {p} is not a prime")

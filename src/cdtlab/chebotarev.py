@@ -5,11 +5,12 @@ evaluation orders of the sieved sum S are one weighted sum over the
 lattice points with prime value, taken by a single kernel: they differ
 only in residue tables built from gcds with the sieving modulus.  The
 kernel walks half the plane against a cached sieve table, in numpy
-blocks, optionally in strips across forked worker processes.  It builds
-only the points whose value is prime to 30, a wheel as in the sieve of
-Atkin and Bernstein (Math. Comp. 73, 2004), and adds the values 2, 3
-and 5 by a pass over the tiny ellipse f(u, v) <= 5.  Dividing by the
-unit count turns a lattice total into a prime-ideal count.
+blocks, in strips across forked worker processes when the estimated
+number of points pays for the fork.  It builds only the points whose
+value is prime to 30, a wheel as in the sieve of Atkin and Bernstein
+(Math. Comp. 73, 2004), and adds the values 2, 3 and 5 by a pass over
+the tiny ellipse f(u, v) <= 5.  Dividing by the unit count turns a
+lattice total into a prime-ideal count.
 
 The prime-power events behind the Chebyshev-style sums psi_C, their
 smoothed variants and the partial-summation bridge back to pi_C follow
@@ -53,6 +54,7 @@ from .errorterms import ErrorModel, SiegelData, remainder_R
 from .quadforms import (
     Form,
     _u_bound,
+    _wheel_table,
     class_representatives,
     induced_form,
     inverse_form,
@@ -136,18 +138,48 @@ def prime_table(limit: int) -> PrimeCache:
 # a prime among them is 7 or more.  The points of value 2, 3 or 5 come
 # from a second pass over the whole (tiny) ellipse f(u, v) <= min(x, 5),
 # weighed by the same tables.  The tables are read on the prime hits
-# only.  With workers the half-plane is cut into strips that depend on
-# the form and x alone, and partial sums are exact integers, so the
-# total is independent of the worker count.  Forked workers find the
-# strip closure in _STRIP, set just before the fork; only bounds are
-# pickled.
+# only.
+#
+# The pass over u >= 1 forks only when it pays.  Its points are
+# estimated before any is built: the half-ellipse has area
+# pi x / sqrt|D|, and the wheel keeps the share of its table that is
+# true (698,739 for (1, 1, 6) at 1e7, against 698,783 built).  The
+# pool gets one process per _FORK_POINTS estimated points, at most
+# `workers` and at most the CPUs this process may run on; with one, the
+# pass is a single serial walk.  A forked pass is cut into about four
+# strips per process, at the rows where the cumulative area
+# u sqrt(U^2 - u^2) + U^2 arcsin(u / U) reaches equal shares, so the
+# strips hold about equal numbers of points and are handed out one at a
+# time.  Partial sums are exact integers, so the total is independent of
+# the worker count.  Forked workers find the strip closure in _STRIP,
+# set just before the fork; only bounds are pickled.
+#
+# _FORK_POINTS is measured on a 2-CPU x86-64 host.  The serial kernel
+# builds and gathers about 24M points/s.  A 2-process pool takes about
+# 13 ms of wall time to create, feed and reap, and its two children
+# spend about 17 ms of CPU and 2,400 minor faults beyond the serial
+# pass's work.  Forced pools of two at x = 1e7, 2e7, 3e7, 5e7 and 1e8
+# for (1, 1, 6) (0.7M to 7.0M estimated points) won 0, 1, 5, 9 and 9 of
+# 9 alternated pairs against one worker: two processes break even near
+# 2M points, which one process per 1M points puts them at.
 
 _STRIP = None
 _WHEEL = 30  # = 2 * 3 * 5
+_FORK_POINTS = 1_000_000  # estimated points per forked process
 
 
-def _run_strip(u_lo: int, u_hi: int) -> int:
-    return _STRIP(u_lo, u_hi)
+def _run_strip(bounds: tuple[int, int]) -> int:
+    return _STRIP(*bounds)
+
+
+def _strips(U: int, n: int) -> list[tuple[int, int]]:
+    """Cut the rows 1..U into at most n runs (lo, hi), in order, each
+    holding about an equal share of the half-ellipse of radius U."""
+    u = np.arange(U + 1, dtype=np.float64)
+    area = u * np.sqrt(U * U - u * u) + U * U * np.arcsin(u / U)
+    cuts = np.searchsorted(area, area[-1] * np.arange(1, n) / n)
+    ends = np.unique(np.concatenate(([1], cuts, [U + 1]))).tolist()
+    return [(lo, hi - 1) for lo, hi in zip(ends, ends[1:])]
 
 
 def _lattice_sum(
@@ -174,15 +206,17 @@ def _lattice_sum(
         return weigh(represented_blocks(f, x, u_lo, u_hi, wheel=_WHEEL))
 
     U = _u_bound(f, x)
-    if workers <= 1:
+    points = math.pi * x / math.sqrt(-f.discriminant) * _wheel_table(f, _WHEEL).mean()
+    procs = min(workers, len(os.sched_getaffinity(0)))
+    if procs * _FORK_POINTS > points:
+        procs = int(points // _FORK_POINTS)
+    if procs <= 1:
         half = strip(1, U)
     else:
-        chunk = max(1, U // 32)
-        jobs = [(lo, min(lo + chunk - 1, U)) for lo in range(1, U + 1, chunk)]
         _STRIP = strip
         try:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                half = sum(pool.starmap(_run_strip, jobs))
+            with multiprocessing.get_context("fork").Pool(procs) as pool:
+                half = sum(pool.imap_unordered(_run_strip, _strips(U, 4 * procs), chunksize=1))
         finally:
             _STRIP = None
     # the primes 2, 3 and 5 that the wheel skips, over the whole plane

@@ -55,6 +55,12 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"^sifting level z must exceed 1, got {z}$"):
             bs.SieveSpec(z=z, R=1e4, kind="upper")
 
+    @pytest.mark.parametrize("R", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_R(self, R):
+        # an infinite R gives s = inf, which JSON cannot carry
+        with pytest.raises(ValueError, match=f"^level R must be a finite number, got {R}$"):
+            bs.SieveSpec(z=8.0, R=R, kind="upper", support=(3,))
+
 
 class TestWeights:
     def test_lambda_is_mobius(self):

@@ -88,7 +88,8 @@ class TestCounting:
     def test_vs_bruteforce(self, f, x):
         assert ch.count_prime_points(f, x) == brute_prime_points(f, x)
 
-    def test_worker_count_invariance(self):
+    @staticmethod
+    def check_worker_count_invariance():
         f = qf.Form(1, 1, 6)
         base = ch.count_prime_points(f, 1e5, workers=1)
         assert ch.count_prime_points(f, 1e5, workers=2) == base
@@ -102,6 +103,53 @@ class TestCounting:
             assert ch.theorem15_experiment(g, P, 1e5, workers=2).lhs == one
             one = ch.sieved_sum_S(g, w, w, P, 1e5, workers=1)
             assert ch.sieved_sum_S(g, w, w, P, 1e5, workers=2) == one
+
+    def test_worker_count_invariance(self):
+        self.check_worker_count_invariance()
+
+    def test_worker_count_invariance_forked(self, monkeypatch):
+        # below the threshold nothing forks, so force the pool: a process
+        # for every point, and four CPUs whatever the host has
+        monkeypatch.setattr(ch, "_FORK_POINTS", 0)
+        monkeypatch.setattr(ch.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        self.check_worker_count_invariance()
+
+    @staticmethod
+    def forbid_fork(monkeypatch):
+        def refuse(method=None):
+            raise AssertionError("the kernel forked a pool")
+
+        monkeypatch.setattr(ch.multiprocessing, "get_context", refuse)
+
+    def test_small_x_never_forks(self, monkeypatch):
+        # about 7,000 estimated points, far below _FORK_POINTS
+        self.forbid_fork(monkeypatch)
+        assert ch.count_prime_points(qf.Form(1, 1, 6), 1e5, workers=4) == 6270
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        monkeypatch.setattr(ch, "_FORK_POINTS", 0)
+        monkeypatch.setattr(ch.os, "sched_getaffinity", lambda pid: {0})
+        self.forbid_fork(monkeypatch)
+        assert ch.count_prime_points(qf.Form(1, 1, 6), 1e5, workers=4) == 6270
+
+    @given(
+        st.sampled_from(REDUCED_200),
+        st.integers(min_value=10, max_value=10**6),
+        st.integers(min_value=2, max_value=8),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_strips_partition_rows(self, f, x, procs):
+        U = qf._u_bound(f, x)
+        strips = ch._strips(U, 4 * procs)
+        assert 1 <= len(strips) <= 4 * procs
+        assert strips[0][0] == 1 and strips[-1][1] == U
+        assert all(lo <= hi for lo, hi in strips)
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(strips, strips[1:]))
+        serial = ch.count_prime_points(f, x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ch, "_FORK_POINTS", 0)
+            mp.setattr(ch.os, "sched_getaffinity", lambda pid: set(range(procs)))
+            assert ch.count_prime_points(f, x, workers=procs) == serial
 
     @pytest.mark.parametrize(
         "f",

@@ -122,8 +122,10 @@ class TestSieve:
             (["--z", "8", "--support", "3,4"], "support entry 4 is not a prime"),
             (["--z", "1", "--support", "3"], "sifting level z must exceed 1, got 1.0"),
             (["--z", "8", "--support", "3,3,5"], "support primes must be distinct, got (3, 3, 5)"),
+            (["--z", "8", "--support", "3", "--R", "inf"], "level R must be a finite number, got inf"),
+            (["--z", "8", "--support", "3", "--R", "nan"], "level R must be a finite number, got nan"),
         ],
-        ids=["composite-support", "z-one", "repeated-support"],
+        ids=["composite-support", "z-one", "repeated-support", "R-inf", "R-nan"],
     )
     def test_bad_spec_rejected(self, capsys, argv, message):
         assert main(["sieve", "--R", "1e10", *argv]) == 2
@@ -152,6 +154,25 @@ class TestWeights:
         assert captured.err.splitlines() == [
             "error: cdtlab weights: --epsilon and --ell go together: give both or neither"
         ]
+
+
+    def test_standard_choice_out_of_range(self, capsys):
+        # ell = 4 * 10 * 2 = 80: the standard epsilon is below 1/4 only past 2560^640
+        assert main(["weights", "--x", "1e12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the standard choice ell = 4 c_ZDE n_K = 80, epsilon = 8 ell "
+            "x^(-1/(8 ell)) gives epsilon = 613 at x = 1e+12, outside (0, 1/4); "
+            "for --n-K 2 --c-ZDE 10 it needs x > (32 ell)^(8 ell) = 2560^640, "
+            "or give --epsilon and --ell"
+        ]
+
+    def test_standard_choice_in_range(self, capsys):
+        # ell = 8: valid past 256^64 = 1.3e154
+        code, out = run(capsys, "weights", "--x", "1e160", "--c-ZDE", "1")
+        assert code == 0
+        assert json.loads(out)["params"]["ell"] == 8
 
 
 class TestBounds:
