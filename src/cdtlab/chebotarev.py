@@ -140,26 +140,28 @@ def prime_table(limit: int) -> PrimeCache:
 # weighed by the same tables.  The tables are read on the prime hits
 # only.
 #
-# The pass over u >= 1 forks only when it pays.  Its points are
-# estimated before any is built: the half-ellipse has area
-# pi x / sqrt|D|, and the wheel keeps the share of its table that is
-# true (698,739 for (1, 1, 6) at 1e7, against 698,783 built).  The
-# pool gets one process per _FORK_POINTS estimated points, at most
+# The pass over u >= 1 forks only when it pays.  With more than one
+# worker its points are estimated before any is built: the half-ellipse
+# has area pi x / sqrt|D|, and the wheel keeps the share of its table
+# that is true (698,739 for (1, 1, 6) at 1e7, against 698,783 built).
+# The pool gets one process per _FORK_POINTS estimated points, at most
 # `workers` and at most the CPUs this process may run on; with one, the
-# pass is a single serial walk.  A forked pass is cut into about four
-# strips per process, at the rows where the cumulative area
-# u sqrt(U^2 - u^2) + U^2 arcsin(u / U) reaches equal shares, so the
-# strips hold about equal numbers of points and are handed out one at a
-# time.  Partial sums are exact integers, so the total is independent of
-# the worker count.  Forked workers find the strip closure in _STRIP,
-# set just before the fork; only bounds are pickled.
+# pass is the serial walk.  A forked pass is cut into strips that depend
+# on the form and x alone, and partial sums are exact integers, so the
+# total is independent of the worker count.  Forked workers find the
+# strip closure in _STRIP, set just before the fork; only bounds are
+# pickled.  Each worker starts on a CPU of its own: workers forked
+# together wake on their parent's CPU, and on a 2-CPU x86-64 host the
+# scheduler left both there for whole passes, most often in the first
+# second after the process had been idle.  Such a pass took 0.34-0.39 s
+# at 1e8 for (1, 1, 6), against 0.17-0.19 s with the workers apart.
 #
 # _FORK_POINTS is measured on a 2-CPU x86-64 host.  The serial kernel
-# builds and gathers about 24M points/s.  A 2-process pool takes about
+# builds and gathers about 22M points/s.  A 2-process pool takes about
 # 13 ms of wall time to create, feed and reap, and its two children
 # spend about 17 ms of CPU and 2,400 minor faults beyond the serial
 # pass's work.  Forced pools of two at x = 1e7, 2e7, 3e7, 5e7 and 1e8
-# for (1, 1, 6) (0.7M to 7.0M estimated points) won 0, 1, 5, 9 and 9 of
+# for (1, 1, 6) (0.7M to 7.0M estimated points) won 0, 0, 5, 9 and 9 of
 # 9 alternated pairs against one worker: two processes break even near
 # 2M points, which one process per 1M points puts them at.
 
@@ -168,18 +170,27 @@ _WHEEL = 30  # = 2 * 3 * 5
 _FORK_POINTS = 1_000_000  # estimated points per forked process
 
 
-def _run_strip(bounds: tuple[int, int]) -> int:
-    return _STRIP(*bounds)
+def _run_strip(u_lo: int, u_hi: int) -> int:
+    return _STRIP(u_lo, u_hi)
 
 
-def _strips(U: int, n: int) -> list[tuple[int, int]]:
-    """Cut the rows 1..U into at most n runs (lo, hi), in order, each
-    holding about an equal share of the half-ellipse of radius U."""
-    u = np.arange(U + 1, dtype=np.float64)
-    area = u * np.sqrt(U * U - u * u) + U * U * np.arcsin(u / U)
-    cuts = np.searchsorted(area, area[-1] * np.arange(1, n) / n)
-    ends = np.unique(np.concatenate(([1], cuts, [U + 1]))).tolist()
-    return [(lo, hi - 1) for lo, hi in zip(ends, ends[1:])]
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux; not macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_apart() -> None:
+    """Pool initializer: move the i-th worker to the i-th CPU this process
+    may run on, then let it run on any of them again."""
+    cpus = os.sched_getaffinity(0)
+    i = multiprocessing.current_process()._identity[-1]
+    try:
+        os.sched_setaffinity(0, {sorted(cpus)[i % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass  # the placement is a hint; the pass is right without it
 
 
 def _lattice_sum(
@@ -206,17 +217,22 @@ def _lattice_sum(
         return weigh(represented_blocks(f, x, u_lo, u_hi, wheel=_WHEEL))
 
     U = _u_bound(f, x)
-    points = math.pi * x / math.sqrt(-f.discriminant) * _wheel_table(f, _WHEEL).mean()
-    procs = min(workers, len(os.sched_getaffinity(0)))
-    if procs * _FORK_POINTS > points:
-        procs = int(points // _FORK_POINTS)
+    procs = workers
+    if workers > 1:
+        points = math.pi * x / math.sqrt(-f.discriminant) * _wheel_table(f, _WHEEL).mean()
+        procs = min(workers, _cpus())
+        if procs * _FORK_POINTS > points:
+            procs = int(points // _FORK_POINTS)
     if procs <= 1:
         half = strip(1, U)
     else:
+        chunk = max(1, U // 32)
+        jobs = [(lo, min(lo + chunk - 1, U)) for lo in range(1, U + 1, chunk)]
         _STRIP = strip
         try:
-            with multiprocessing.get_context("fork").Pool(procs) as pool:
-                half = sum(pool.imap_unordered(_run_strip, _strips(U, 4 * procs), chunksize=1))
+            start = _start_apart if hasattr(os, "sched_setaffinity") else None
+            with multiprocessing.get_context("fork").Pool(procs, start) as pool:
+                half = sum(pool.starmap(_run_strip, jobs))
         finally:
             _STRIP = None
     # the primes 2, 3 and 5 that the wheel skips, over the whole plane

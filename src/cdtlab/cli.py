@@ -120,16 +120,6 @@ def _cmd_weights(args) -> int:
     if args.epsilon is not None:
         params = weights.WeightParams(x=args.x, epsilon=args.epsilon, ell=args.ell)
     else:
-        ell = 4 * args.c_ZDE * args.n_K
-        if args.x >= 3 and ell >= 1:
-            eps = 8 * ell * args.x ** (-1 / (8 * ell))  # as standard_choice takes it
-            if eps >= 0.25:
-                raise ValueError(
-                    f"the standard choice ell = 4 c_ZDE n_K = {ell}, epsilon = 8 ell "
-                    f"x^(-1/(8 ell)) gives epsilon = {eps:.4g} at x = {args.x:g}, outside "
-                    f"(0, 1/4); for --n-K {args.n_K} --c-ZDE {args.c_ZDE} it needs "
-                    f"x > (32 ell)^(8 ell) = {32 * ell}^{8 * ell}, or give --epsilon and --ell"
-                )
         params = weights.WeightParams.standard_choice(args.x, args.n_K, args.c_ZDE)
     report = weights.verify_bounds(params)
     report["params"] = {"x": params.x, "epsilon": params.epsilon, "ell": params.ell}

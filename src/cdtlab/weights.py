@@ -52,6 +52,13 @@ class WeightParams:
         """ell = 4 * c_ZDE * n_K and eps = 8 * ell * x^(-1/(8*ell))."""
         ell = 4 * c_ZDE * n_K
         eps = 8 * ell * x ** (-1 / (8 * ell))
+        if ell >= 1 and eps >= 0.25:  # eps < 1/4 exactly when x > (32 ell)^(8 ell)
+            raise ValueError(
+                f"the standard choice ell = 4 c_ZDE n_K = {ell}, epsilon = 8 ell "
+                f"x^(-1/(8 ell)) gives epsilon = {eps:.4g} at x = {x:g}, outside "
+                f"(0, 1/4); for n_K = {n_K}, c_ZDE = {c_ZDE} it needs "
+                f"x > (32 ell)^(8 ell) = {32 * ell}^{8 * ell}, or give epsilon and ell"
+            )
         return cls(x=x, epsilon=eps, ell=ell)
 
 

@@ -155,7 +155,6 @@ class TestWeights:
             "error: cdtlab weights: --epsilon and --ell go together: give both or neither"
         ]
 
-
     def test_standard_choice_out_of_range(self, capsys):
         # ell = 4 * 10 * 2 = 80: the standard epsilon is below 1/4 only past 2560^640
         assert main(["weights", "--x", "1e12"]) == 2
@@ -164,8 +163,8 @@ class TestWeights:
         assert captured.err.splitlines() == [
             "error: the standard choice ell = 4 c_ZDE n_K = 80, epsilon = 8 ell "
             "x^(-1/(8 ell)) gives epsilon = 613 at x = 1e+12, outside (0, 1/4); "
-            "for --n-K 2 --c-ZDE 10 it needs x > (32 ell)^(8 ell) = 2560^640, "
-            "or give --epsilon and --ell"
+            "for n_K = 2, c_ZDE = 10 it needs x > (32 ell)^(8 ell) = 2560^640, "
+            "or give epsilon and ell"
         ]
 
     def test_standard_choice_in_range(self, capsys):

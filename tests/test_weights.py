@@ -54,7 +54,7 @@ class TestParams:
         assert 0 < p.epsilon < 0.25
 
     def test_standard_choice_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"it needs x > \(32 ell\)\^\(8 ell\) = 2560\^640"):
             wt.WeightParams.standard_choice(1e7, n_K=2, c_ZDE=10)
 
     def test_A(self):
