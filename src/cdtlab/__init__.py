@@ -18,7 +18,6 @@ from .chebotarev import (
     congruence_sum_A,
     count_prime_points,
     equidistribution_report,
-    pi_all,
     pi_class,
     psi_class,
     psi_events,

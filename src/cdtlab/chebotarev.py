@@ -6,11 +6,10 @@ lattice points with prime value, taken by a single kernel: they differ
 only in residue tables built from gcds with the sieving modulus.  The
 kernel walks half the plane against a cached sieve table, in numpy
 blocks, in strips across forked worker processes when the estimated
-number of points pays for the fork.  It builds only the points whose
-value is prime to 30, a wheel as in the sieve of Atkin and Bernstein
-(Math. Comp. 73, 2004), and adds the values 2, 3 and 5 by a pass over
-the tiny ellipse f(u, v) <= 5.  Dividing by the unit count turns a
-lattice total into a prime-ideal count.
+number of points pays for the fork.  It owns a wheel mod 30: it builds
+only the points whose value is prime to 30 and adds the values 2, 3
+and 5 by a pass over the tiny ellipse f(u, v) <= 5.  Dividing by the
+unit count turns a lattice total into a prime-ideal count.
 
 The prime-power events behind the Chebyshev-style sums psi_C, their
 smoothed variants and the partial-summation bridge back to pi_C follow
@@ -30,13 +29,13 @@ represent it.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import multiprocessing
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +53,6 @@ from .errorterms import ErrorModel, SiegelData, remainder_R
 from .quadforms import (
     Form,
     _u_bound,
-    _wheel_table,
     class_representatives,
     induced_form,
     inverse_form,
@@ -70,7 +68,6 @@ __all__ = [
     "prime_table",
     "count_prime_points",
     "pi_class",
-    "pi_all",
     "pi_class_scan",
     "equidistribution_report",
     "equidistribution_csv",
@@ -133,12 +130,15 @@ def prime_table(limit: int) -> PrimeCache:
 # with f(u, v) = n a prime <= x and n_ok[n % k] nonzero.  Each table must
 # depend on its residue only through the gcd with its modulus, so that
 # (-u, -v) weighs the same as (u, v): the pass over u >= 1 is doubled and
-# the row u = 0 added once.  Both walk the wheel mod 30: only the points
-# with gcd(f(u, v), 30) = 1 are built, about a tenth of the ellipse, and
-# a prime among them is 7 or more.  The points of value 2, 3 or 5 come
-# from a second pass over the whole (tiny) ellipse f(u, v) <= min(x, 5),
-# weighed by the same tables.  The tables are read on the prime hits
-# only.
+# the row u = 0 added once.  The tables are read on the prime hits only.
+#
+# The kernel walks the wheel mod 30: it builds only the points whose
+# residues _wheel(f) admits, gcd(f(u, v), 30) = 1 (true at (-u, -v) as
+# at (u, v)), and a prime among them is 7 or more.  That keeps 7 to 11
+# percent of the ellipse for D = -23, -47 and -71 and 28 for u^2 + v^2;
+# W = 6 would keep 11.1 against 10.7 for D = -23 and -47, and 44 for
+# u^2 + v^2.  The points of value 2, 3 or 5 come from a second pass over
+# the whole (tiny) ellipse f(u, v) <= min(x, 5), by the same tables.
 #
 # The pass over u >= 1 forks only when it pays.  With more than one
 # worker its points are estimated before any is built: the half-ellipse
@@ -148,13 +148,14 @@ def prime_table(limit: int) -> PrimeCache:
 # `workers` and at most the CPUs this process may run on; with one, the
 # pass is the serial walk.  A forked pass is cut into strips that depend
 # on the form and x alone, and partial sums are exact integers, so the
-# total is independent of the worker count.  Forked workers find the
-# strip closure in _STRIP, set just before the fork; only bounds are
-# pickled.  Each worker starts on a CPU of its own: workers forked
-# together wake on their parent's CPU, and on a 2-CPU x86-64 host the
-# scheduler left both there for whole passes, most often in the first
-# second after the process had been idle.  Such a pass took 0.34-0.39 s
-# at 1e8 for (1, 1, 6), against 0.17-0.19 s with the workers apart.
+# total is independent of the worker count.  A forked worker inherits
+# the strip closure unpickled, as its initializer's argument, so the
+# parent keeps no state of a pass.  Each worker starts on a CPU of its
+# own: workers forked together wake on their parent's CPU, and on a
+# 2-CPU x86-64 host the scheduler left both there for whole passes, most
+# often in the first second after the process had been idle.  Such a
+# pass took 0.34-0.39 s at 1e8 for (1, 1, 6), against 0.17-0.19 s with
+# the workers apart.
 #
 # _FORK_POINTS is measured on a 2-CPU x86-64 host.  The serial kernel
 # builds and gathers about 22M points/s.  A 2-process pool takes about
@@ -165,9 +166,20 @@ def prime_table(limit: int) -> PrimeCache:
 # 9 alternated pairs against one worker: two processes break even near
 # 2M points, which one process per 1M points puts them at.
 
-_STRIP = None
 _WHEEL = 30  # = 2 * 3 * 5
 _FORK_POINTS = 1_000_000  # estimated points per forked process
+_STRIP = None  # a pool worker's strip closure, set by _start_apart
+
+
+@lru_cache(maxsize=256)
+def _wheel(f: Form) -> np.ndarray:
+    """[gcd(f(u0, v0), 30) = 1] for the residues u0 (rows) and v0 mod 30."""
+    a, b, c = (k % _WHEEL for k in f)  # f(u0, v0) mod 30, free of overflow
+    r = np.arange(_WHEEL, dtype=np.int64)
+    u0 = r[:, None]
+    table = np.gcd(a * u0 * u0 + b * u0 * r + c * r * r, _WHEEL) == 1
+    table.setflags(write=False)
+    return table
 
 
 def _run_strip(u_lo: int, u_hi: int) -> int:
@@ -181,9 +193,14 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _start_apart() -> None:
-    """Pool initializer: move the i-th worker to the i-th CPU this process
-    may run on, then let it run on any of them again."""
+def _start_apart(strip) -> None:
+    """Pool initializer: keep the pass's strip closure for _run_strip, and
+    move the i-th worker to the i-th CPU this process may run on, then
+    let it run on any of them again."""
+    global _STRIP
+    _STRIP = strip
+    if not hasattr(os, "sched_setaffinity"):  # Linux; not macOS or Windows
+        return
     cpus = os.sched_getaffinity(0)
     i = multiprocessing.current_process()._identity[-1]
     try:
@@ -196,14 +213,13 @@ def _start_apart() -> None:
 def _lattice_sum(
     f: Form, x: float, workers: int, n_ok: np.ndarray, w_u: np.ndarray, w_v: np.ndarray
 ) -> int:
-    global _STRIP
-    f.check_positive_definite()
     check_finite(x)
     if x < 2:
         return 0  # no prime is <= x
     x = int(x)
     flags = prime_table(x).flags
     k, m = len(n_ok), len(w_u)
+    wheel = _wheel(f)
 
     def weigh(blocks) -> int:
         total = 0
@@ -214,12 +230,12 @@ def _lattice_sum(
         return total
 
     def strip(u_lo: int, u_hi: int) -> int:
-        return weigh(represented_blocks(f, x, u_lo, u_hi, wheel=_WHEEL))
+        return weigh(represented_blocks(f, x, u_lo, u_hi, admissible=wheel))
 
     U = _u_bound(f, x)
     procs = workers
     if workers > 1:
-        points = math.pi * x / math.sqrt(-f.discriminant) * _wheel_table(f, _WHEEL).mean()
+        points = math.pi * x / math.sqrt(-f.discriminant) * wheel.mean()
         procs = min(workers, _cpus())
         if procs * _FORK_POINTS > points:
             procs = int(points // _FORK_POINTS)
@@ -228,13 +244,8 @@ def _lattice_sum(
     else:
         chunk = max(1, U // 32)
         jobs = [(lo, min(lo + chunk - 1, U)) for lo in range(1, U + 1, chunk)]
-        _STRIP = strip
-        try:
-            start = _start_apart if hasattr(os, "sched_setaffinity") else None
-            with multiprocessing.get_context("fork").Pool(procs, start) as pool:
-                half = sum(pool.starmap(_run_strip, jobs))
-        finally:
-            _STRIP = None
+        with multiprocessing.get_context("fork").Pool(procs, _start_apart, (strip,)) as pool:
+            half = sum(pool.starmap(_run_strip, jobs))
     # the primes 2, 3 and 5 that the wheel skips, over the whole plane
     small = weigh(represented_blocks(f, min(x, 5)))
     return 2 * half + strip(0, 0) + small
@@ -256,10 +267,6 @@ def pi_class(f: Form, x: float, workers: int = 1) -> float:
     prime value, divided by the number of units of the order."""
     f = reduce_form(f)
     return count_prime_points(f, x, workers) / stab_order(f.discriminant)
-
-
-def pi_all(D: int, x: float, workers: int = 1) -> dict[Form, float]:
-    return {f: pi_class(f, x, workers) for f in class_representatives(D).representatives}
 
 
 def pi_class_scan(target: Form, x: float) -> int:
@@ -547,9 +554,6 @@ class ExperimentReport:
     trivially_true: bool
     passed: bool
     density: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def theorem15_experiment(

@@ -20,9 +20,7 @@ from . import betasieve, chebotarev, densities, errorterms, quadforms, verify, w
 
 
 def _parse_form(args) -> "quadforms.Form":
-    f = quadforms.Form(args.a, args.b, args.c)
-    f.check_positive_definite()
-    return f
+    return quadforms.Form(args.a, args.b, args.c)
 
 
 def positive_int(text: str) -> int:

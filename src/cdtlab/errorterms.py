@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
-from .arith import divisors, euler_phi, tau
+from .arith import check_finite, divisors, euler_phi, tau
 
 __all__ = [
     "SiegelData",
@@ -81,7 +81,6 @@ class ErrorModel:
     c_DH: float = 1.0
     c_Stark: float = 1.0
     vartheta: float = 1.0
-    gamma: float = 1.0
     eta_thm: float = 1.0
     c_1: float = 40.0  # range exponent of the asymptotic theorem
     c_SZ_err: float = 1.0
@@ -90,6 +89,12 @@ class ErrorModel:
     siegel: SiegelData = field(default_factory=SiegelData)
 
     def __post_init__(self):
+        for name in ("D_K", "Qcal"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
+        if self.n_K < 1:
+            raise ValueError(f"n_K must be an integer >= 1, got {self.n_K}")
         if self.c_ZDE < 1:
             raise ValueError("c_ZDE must be an integer >= 1")
         if self.Q < 2:
@@ -169,6 +174,7 @@ def stark_floor(m: ErrorModel) -> float:
 def eta(x: float, m: ErrorModel) -> float:
     """inf over t >= 3 of [Delta(t) log x + log t] with the combined
     zero-free width; grid scan plus local refinement, accuracy ~1e-9."""
+    check_finite(x)
     if x < 2:
         raise ValueError("eta requires x >= 2")
     logx = math.log(x)
@@ -195,6 +201,7 @@ def eta(x: float, m: ErrorModel) -> float:
 def classical_error(x: float, m: ErrorModel) -> float:
     """Closed-form bound  e^{-c_ZFR log x / log Q} + e^{-sqrt(c_ZFR log x / n_K)};
     dominates e^{-eta(x)} when no repulsion is active."""
+    check_finite(x)
     if x < 2:
         raise ConfigurationError("classical_error requires x >= 2")
     logx = math.log(x)

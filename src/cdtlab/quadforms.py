@@ -52,21 +52,20 @@ class Form:
     def __call__(self, u: int, v: int) -> int:
         return self.a * u * u + self.b * u * v + self.c * v * v
 
+    def __post_init__(self):
+        if self.a <= 0 or self.discriminant >= 0:
+            raise ValueError(f"form {tuple(self)} is not positive definite")
+
     def __iter__(self):
         yield self.a
         yield self.b
         yield self.c
-
-    def check_positive_definite(self) -> None:
-        if self.a <= 0 or self.discriminant >= 0:
-            raise ValueError(f"form {tuple(self)} is not positive definite")
 
 
 def reduce_form(f: Form) -> Form:
     """Unique reduced SL2-equivalent of f: |b| <= a <= c, with b >= 0
     whenever |b| = a or a = c.  Idempotent."""
     f = Form(*f) if not isinstance(f, Form) else f
-    f.check_positive_definite()
     a, b, c = f.a, f.b, f.c
     D = f.discriminant
     while True:
@@ -247,17 +246,6 @@ def _u_bound(f: Form, x: float) -> int:
     return math.isqrt(int(4 * f.c * x / abs(f.discriminant))) + 1
 
 
-@lru_cache(maxsize=256)
-def _wheel_table(f: Form, wheel: int) -> np.ndarray:
-    """[gcd(f(u0, r), wheel) = 1] for the residues u0 (rows) and r mod wheel."""
-    a, b, c = (k % wheel for k in f)  # f(u0, r) mod W, free of overflow
-    r = np.arange(wheel, dtype=np.int64)
-    u0 = r[:, None]
-    table = np.gcd(a * u0 * u0 + b * u0 * r + c * r * r, wheel) == 1
-    table.setflags(write=False)
-    return table
-
-
 def represented_blocks(
     f: Form,
     x: float,
@@ -265,22 +253,20 @@ def represented_blocks(
     u_hi: int | None = None,
     max_block: int = 1 << 14,
     *,
-    wheel: int = 1,
+    admissible: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield numpy blocks (U, V, N) covering every integer pair with
-    0 < f(u, v) <= x, gcd(f(u, v), wheel) = 1 and u in [u_lo, u_hi],
-    each pair exactly once.
+    0 < f(u, v) <= x, admissible[u % W, v % W] true and u in [u_lo, u_hi],
+    each pair exactly once, where W = len(admissible).
 
     The u-range defaults to the full ellipse; disjoint u-ranges partition
     the solution set, which is what the parallel counters rely on.
 
-    The default wheel = 1 yields every point.  With a wheel W > 1 a row
-    u walks only the residues r mod W with gcd(f(u, r), W) = 1, read
-    from a W x W table, stepping v by W from the first such v in the
+    The default admissible = None is the 1 x 1 table [[True]]: every
+    point.  A row u walks only the residues r mod W with
+    admissible[u % W, r], stepping v by W from the first such v in the
     row's range (Pritchard, Acta Inf. 17, 1982; Atkin and Bernstein,
     Math. Comp. 73, 2004).  Rows with no such residue are never built.
-    W = 30 keeps 7 to 11 percent of the points for the forms of
-    D = -23, -47 and -71, and 28 percent for u^2 + v^2.
 
     A block of max_block points keeps its int64 temporaries within a
     core's L2 cache, so a lattice pass is not bound by the memory bus
@@ -289,8 +275,9 @@ def represented_blocks(
     freed its 1 MB segments; at 2^15 points each block's memory went
     back to the system and was faulted in again.
     """
-    f.check_positive_definite()
     check_finite(x)
+    table = np.ones((1, 1), dtype=bool) if admissible is None else admissible
+    W = len(table)
     if x < 1:
         return
     if 4 * f.c * int(x) > np.iinfo(np.int64).max:
@@ -307,8 +294,7 @@ def represented_blocks(
     # a row u holds at most (2*sqrt(x/c) + 2)/W + 1 points per admissible
     # residue: blocks of whole runs (one per row and residue), with the
     # v-ranges of up to 16 blocks' runs computed at once
-    table = _wheel_table(f, wheel)
-    runs = max(1, int(max_block / ((2 * math.sqrt(x / c) + 2) / wheel + 1)))
+    runs = max(1, int(max_block / ((2 * math.sqrt(x / c) + 2) / W + 1)))
     span = max(1, 16 * runs // max(1, int(table.sum(axis=1).max())))
     for start in range(lo, hi + 1, span):
         us = np.arange(start, min(start + span, hi + 1), dtype=np.int64)
@@ -318,22 +304,20 @@ def represented_blocks(
         root = np.sqrt(disc[keep].astype(np.float64))
         vlo = np.ceil((-b * us - root) / (2 * c)).astype(np.int64) - 1
         vhi = np.floor((-b * us + root) / (2 * c)).astype(np.int64) + 1
-        if wheel > 1:
-            # one run per row u and residue r with gcd(f(u, r), W) = 1,
-            # from the first v = r (mod W) at or above vlo
-            row, r = np.nonzero(table[us % wheel])
-            us, vhi = us[row], vhi[row]
-            vlo = vlo[row] + (r - vlo[row]) % wheel
-        counts = np.maximum((vhi - vlo) // wheel + 1, 0)
+        # one run per row u and admissible residue r, from the first
+        # v = r (mod W) at or above vlo
+        row, r = np.nonzero(table[us % W])
+        us, vhi = us[row], vhi[row]
+        vlo = vlo[row] + (r - vlo[row]) % W
+        counts = np.maximum((vhi - vlo) // W + 1, 0)
         for i in range(0, us.size, runs):
             n = counts[i : i + runs]
             total = int(n.sum())
             if total == 0:
                 continue
             Ub = np.repeat(us[i : i + runs], n)
-            step = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
-            if wheel > 1:
-                step *= wheel
+            step = np.arange(0, total * W, W, dtype=np.int64)
+            step -= np.repeat((np.cumsum(n) - n) * W, n)
             Vb = np.repeat(vlo[i : i + runs], n) + step
             N = a * Ub * Ub + b * Ub * Vb + c * Vb * Vb
             mask = (N >= 1) & (N <= int(x))

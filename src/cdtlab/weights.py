@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from math import comb, fsum
 
+from .arith import check_finite
+
 __all__ = ["WeightParams", "WeightFunction", "laplace_F", "verify_bounds"]
 
 # Above this degree the Irwin-Hall closed form loses too much precision in
@@ -32,6 +34,7 @@ class WeightParams:
     ell: int
 
     def __post_init__(self):
+        check_finite(self.x)
         if self.x < 3:
             raise ValueError("x must be >= 3")
         if not 0 < self.epsilon < 0.25:
@@ -50,9 +53,12 @@ class WeightParams:
     @classmethod
     def standard_choice(cls, x: float, n_K: int, c_ZDE: int) -> "WeightParams":
         """ell = 4 * c_ZDE * n_K and eps = 8 * ell * x^(-1/(8*ell))."""
+        for name, value in (("n_K", n_K), ("c_ZDE", c_ZDE)):
+            if value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
         ell = 4 * c_ZDE * n_K
         eps = 8 * ell * x ** (-1 / (8 * ell))
-        if ell >= 1 and eps >= 0.25:  # eps < 1/4 exactly when x > (32 ell)^(8 ell)
+        if eps >= 0.25:  # eps < 1/4 exactly when x > (32 ell)^(8 ell)
             raise ValueError(
                 f"the standard choice ell = 4 c_ZDE n_K = {ell}, epsilon = 8 ell "
                 f"x^(-1/(8 ell)) gives epsilon = {eps:.4g} at x = {x:g}, outside "

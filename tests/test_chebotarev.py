@@ -1,7 +1,7 @@
 import bisect
 import functools
-import json
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +140,23 @@ class TestCounting:
         monkeypatch.setattr(ch, "_FORK_POINTS", 0)
         assert ch.count_prime_points(qf.Form(1, 1, 6), 1e5, workers=2) == 6270
         assert ch.count_prime_points(qf.Form(1, 1, 6), 1e5) == 6270
+
+    def test_parent_keeps_no_strip(self, monkeypatch):
+        # the strip closure goes to the workers as the initializer's
+        # argument; the parent's module slot stays empty through the pass
+        fork = ch.multiprocessing.get_context("fork")
+        seen = []
+
+        class Context:
+            def Pool(self, *args):
+                seen.append(ch._STRIP)
+                return fork.Pool(*args)
+
+        monkeypatch.setattr(ch.multiprocessing, "get_context", lambda method: Context())
+        monkeypatch.setattr(ch, "_FORK_POINTS", 0)
+        monkeypatch.setattr(ch, "_cpus", lambda: 2)
+        assert ch.count_prime_points(qf.Form(1, 1, 6), 1e5, workers=2) == 6270
+        assert seen == [None] and ch._STRIP is None
 
     @given(
         st.sampled_from(REDUCED_200),
@@ -507,8 +524,7 @@ class TestExperiment:
         assert not rep.obstructed
         assert rep.rel_error < 0.02
         assert rep.passed
-        data = json.loads(rep.to_json())
-        assert data["config"]["P"] == 15
+        assert asdict(rep)["config"]["P"] == 15
 
     def test_obstructed(self):
         f = qf.Form(1, 0, 1)

@@ -173,6 +173,23 @@ class TestWeights:
         assert code == 0
         assert json.loads(out)["params"]["ell"] == 8
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--x", "1e5", "--n-K", "0"], "n_K must be an integer >= 1, got 0"),
+            (["--x", "1e5", "--n-K", "-1"], "n_K must be an integer >= 1, got -1"),
+            (["--x", "1e5", "--c-ZDE", "-1"], "c_ZDE must be an integer >= 1, got -1"),
+            (["--x", "nan", "--epsilon", "0.1", "--ell", "2"], "x must be a finite number, got nan"),
+            (["--x", "inf", "--epsilon", "0.1", "--ell", "2"], "x must be a finite number, got inf"),
+        ],
+        ids=["n-K-zero", "n-K-negative", "c-ZDE-negative", "x-nan", "x-inf"],
+    )
+    def test_bad_input_rejected(self, capsys, argv, message):
+        assert main(["weights", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
 
 class TestBounds:
     def test_plain(self, capsys):
@@ -199,6 +216,23 @@ class TestBounds:
         assert code == 0
         assert err.count("\n") == 1
         assert err.startswith("warning: supplied Siegel zero")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--x", "1e12", "--n-K", "0"], "n_K must be an integer >= 1, got 0"),
+            (["--x", "nan"], "x must be a finite number, got nan"),
+            (["--x", "inf"], "x must be a finite number, got inf"),
+            (["--x", "1e12", "--D-K", "nan"], "D_K must be a finite number, got nan"),
+            (["--x", "1e12", "--Q-cal", "inf"], "Qcal must be a finite number, got inf"),
+        ],
+        ids=["n-K-zero", "x-nan", "x-inf", "D-K-nan", "Q-cal-inf"],
+    )
+    def test_bad_input_rejected(self, capsys, argv, message):
+        assert main(["bounds", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
 
 class TestExperiment:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,10 @@ class TestReduce:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             qf.reduce_form(qf.Form(1, 5, 1))
+
+    def test_form_positive_definite_by_construction(self):
+        with pytest.raises(ValueError, match=r"^form \(1, 5, 1\) is not positive definite$"):
+            qf.Form(1, 5, 1)
 
 
 class TestClassNumbers:
@@ -193,16 +198,35 @@ class TestLattice:
             )
         assert whole == pieces
 
-    @pytest.mark.parametrize("wheel", [6, 30])
-    def test_wheel_strip_partition(self, wheel):
+    # admissible tables, each a predicate of (u mod W, v mod W): the value
+    # wheels gcd(f(u, v), W) = 1 that the kernel walks, the coordinate
+    # table gcd(u, 7) = gcd(v, 7) = 1 of a sifted count, and both mod 210
+    ADMISSIBLE = {
+        2: (2, lambda f, u, v: math.gcd(f(u, v), 2) == 1),
+        6: (6, lambda f, u, v: math.gcd(f(u, v), 6) == 1),
+        30: (30, lambda f, u, v: math.gcd(f(u, v), 30) == 1),
+        "coord7": (7, lambda f, u, v: math.gcd(u * v, 7) == 1),
+        "value30-coord7": (
+            210,
+            lambda f, u, v: math.gcd(f(u, v), 30) == 1 and math.gcd(u * v, 7) == 1,
+        ),
+    }
+
+    def admissible(self, f, key):
+        W, ok = self.ADMISSIBLE[key]
+        return np.array([[ok(f, u, v) for v in range(W)] for u in range(W)])
+
+    @pytest.mark.parametrize("key", [6, 30, "coord7", "value30-coord7"])
+    def test_wheel_strip_partition(self, key):
         f = qf.Form(1, 1, 6)
         x = 5000
-        whole = sum(len(N) for _, _, N in qf.represented_blocks(f, x, wheel=wheel))
+        table = self.admissible(f, key)
+        whole = sum(len(N) for _, _, N in qf.represented_blocks(f, x, admissible=table))
         pieces = 0
         for lo in range(-80, 81, 7):
             pieces += sum(
                 len(N)
-                for _, _, N in qf.represented_blocks(f, x, lo, lo + 6, wheel=wheel)
+                for _, _, N in qf.represented_blocks(f, x, lo, lo + 6, admissible=table)
             )
         assert whole == pieces
 
@@ -216,17 +240,33 @@ class TestLattice:
             (qf.Form(4, 3, 5), 700),
         ],
     )
-    @pytest.mark.parametrize("wheel", [2, 6, 30])
-    def test_wheel_blocks_vs_bruteforce(self, f, x, wheel):
+    @pytest.mark.parametrize("key", list(ADMISSIBLE))
+    def test_wheel_blocks_vs_bruteforce(self, f, x, key):
         # small blocks, so that rows and residue runs span several blocks
         got = []
-        for U, V, N in qf.represented_blocks(f, x, max_block=64, wheel=wheel):
+        table = self.admissible(f, key)
+        for U, V, N in qf.represented_blocks(f, x, max_block=64, admissible=table):
             for u, v, n in zip(U.tolist(), V.tolist(), N.tolist()):
                 assert f(u, v) == n
                 got.append((u, v))
-        want = {(u, v) for u, v in self.brute(f, x) if math.gcd(f(u, v), wheel) == 1}
+        ok = self.ADMISSIBLE[key][1]
+        want = {(u, v) for u, v in self.brute(f, x) if ok(f, u, v)}
         assert len(got) == len(set(got))
         assert set(got) == want
+
+    def test_table_filters_every_point(self):
+        # rows and columns past one period of W = 210: the table picks
+        # exactly the points of the unfiltered walk that it admits
+        f, x = qf.Form(1, 0, 1), 1e5
+        table = self.admissible(f, "value30-coord7")
+        W = len(table)
+
+        def pairs(blocks):
+            return sorted((u, v) for U, V, _ in blocks for u, v in zip(U.tolist(), V.tolist()))
+
+        every = pairs(qf.represented_blocks(f, x))
+        want = [(u, v) for u, v in every if table[u % W, v % W]]
+        assert pairs(qf.represented_blocks(f, x, admissible=table)) == want
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_rejected(self, x):
