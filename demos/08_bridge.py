@@ -9,7 +9,7 @@ import math
 from cdtlab import Form, bridge_check, psi_class, psi_events
 from cdtlab.chebotarev import li_identity_check
 
-f = Form(1, 1, 6)  # a non-principal class of D = -23
+f = Form(1, 1, 6)  # the principal class of D = -23
 x = 1e5
 
 events = psi_events(f, x)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -61,7 +62,7 @@ def is_prime(n: int) -> bool:
 
 
 _CACHE_MAGIC = b"PCHE"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,18 @@ class PrimeCache:
         """Write the documented little-endian layout.
 
         Byte layout: 4-byte magic ``PCHE``, ``<I`` version, ``<Q`` limit,
-        then the bit-set packed LSB-first (bit n of the stream set iff n
-        is prime).
+        ``<I`` zlib.crc32 of the limit's 8 bytes and the payload, then the
+        payload: the bit-set packed LSB-first (bit n of the stream set iff
+        n is prime).
         """
         packed = np.packbits(self.flags, bitorder="little")
+        crc = zlib.crc32(packed, zlib.crc32(struct.pack("<Q", self.limit)))
         # a reader sees the old file or the whole new one, never a part
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
                 fh.write(_CACHE_MAGIC)
-                fh.write(struct.pack("<IQ", _CACHE_VERSION, self.limit))
+                fh.write(struct.pack("<IQI", _CACHE_VERSION, self.limit, crc))
                 fh.write(packed.tobytes())
             os.replace(tmp, path)
         except BaseException:
@@ -109,26 +112,33 @@ class PrimeCache:
 
     @classmethod
     def load(cls, path) -> "PrimeCache":
+        """Read a file written by save; a file of another version, or one
+        whose sizes or checksum do not match, raises ValueError."""
         with open(path, "rb") as fh:
-            header = fh.read(16)
-            if len(header) < 16:
+            header = fh.read(20)
+            if len(header) < 20:
                 raise ValueError(
                     f"truncated prime cache {path}: {len(header)}-byte header"
                 )
             if header[:4] != _CACHE_MAGIC:
                 raise ValueError(f"bad prime cache magic {header[:4]!r} in {path}")
-            version, limit = struct.unpack("<IQ", header[4:])
+            version, limit, crc = struct.unpack("<IQI", header[4:])
             if version != _CACHE_VERSION:
                 raise ValueError(f"unsupported prime cache version {version} in {path}")
-            packed = np.frombuffer(fh.read(), dtype=np.uint8)
-        if packed.size * 8 < limit + 1:
+            payload = fh.read()
+        if len(payload) * 8 < limit + 1:
             raise ValueError(
-                f"truncated prime cache {path}: {packed.size * 8} flag bits "
+                f"truncated prime cache {path}: {len(payload) * 8} flag bits "
                 f"for limit {limit}"
             )
+        actual = zlib.crc32(payload, zlib.crc32(header[8:16]))
+        if actual != crc:
+            raise ValueError(
+                f"corrupt prime cache {path}: checksum {actual:08x}, header says {crc:08x}"
+            )
+        packed = np.frombuffer(payload, dtype=np.uint8)
         flags = np.unpackbits(packed, bitorder="little")[: limit + 1].astype(bool)
-        cache = cls(limit=limit, flags=flags)
-        return cache
+        return cls(limit=limit, flags=flags)
 
 
 _SEGMENT = 1 << 20  # integers sieved per numpy segment

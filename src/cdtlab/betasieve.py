@@ -10,7 +10,6 @@ theorem bounds can be checked as literal (in)equalities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,10 +80,6 @@ class SieveWeights:
         assert self.lam.get(1) == 1
         assert all(abs(v) <= 1 for v in self.lam.values())
         assert all(d < self.R for d in self.lam)
-
-    @classmethod
-    def trivial(cls, support: tuple[int, ...] = (), R: float = 2.0) -> "SieveWeights":
-        return cls(kind="upper", support=support, R=R, lam={1: 1})
 
 
 def beta_sieve_weights(spec: SieveSpec) -> SieveWeights:
@@ -234,24 +229,6 @@ class CompositionReport:
     lower_bound: float | None
     fundamental_sums: dict = field(default_factory=dict)
     ok: bool = True
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "s": self.s,
-                "kappa": self.kappa,
-                "K": self.K_const,
-                "smallest_K": self.smallest_K,
-                "G": str(self.G),
-                "G_float": float(self.G),
-                "product": float(self.product),
-                "upper_bound": self.upper_bound,
-                "lower_bound": self.lower_bound,
-                "fundamental_sums": {k: float(v) for k, v in self.fundamental_sums.items()},
-                "ok": self.ok,
-            },
-            indent=2,
-        )
 
 
 def _dimension_K(spec: SieveSpec, d: DensityPair) -> float:

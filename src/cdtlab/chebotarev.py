@@ -211,7 +211,7 @@ def _start_apart(strip) -> None:
 
 
 def _lattice_sum(
-    f: Form, x: float, workers: int, n_ok: np.ndarray, w_u: np.ndarray, w_v: np.ndarray
+    f: Form, x: float, n_ok: np.ndarray, w_u: np.ndarray, w_v: np.ndarray, workers: int = 1
 ) -> int:
     check_finite(x)
     if x < 2:
@@ -259,7 +259,7 @@ def _coprime_residues(m: int) -> np.ndarray:
 def count_prime_points(f: Form, x: float, workers: int = 1) -> int:
     """Number of integer pairs (u, v) with f(u, v) a prime <= x."""
     one = np.ones(1, dtype=np.int64)
-    return _lattice_sum(f, x, workers, one, one, one)
+    return _lattice_sum(f, x, one, one, one, workers)
 
 
 def pi_class(f: Form, x: float, workers: int = 1) -> float:
@@ -463,12 +463,12 @@ def li_identity_check(x: float, sigma: float = 0.9) -> float:
 # congruence sums and the sieved experiment
 
 
-def congruence_sum_A(f: Form, d1: int, d2: int, x: float, workers: int = 1) -> float:
+def congruence_sum_A(f: Form, d1: int, d2: int, x: float) -> float:
     """A_{d1,d2}(x): prime values f(u, v) <= x with d1 | u and d2 | v,
     counted over the lattice and divided by the unit count of the order."""
     f = reduce_form(f)
     g = induced_form(f, d1, d2)
-    return count_prime_points(g, x, workers) / stab_order(f.discriminant)
+    return count_prime_points(g, x) / stab_order(f.discriminant)
 
 
 def congruence_sum_predicted(
@@ -502,14 +502,7 @@ def _theta_table(w, P: int) -> np.ndarray:
     return np.array([theta[d] for d in g], dtype=np.int64)
 
 
-def sieved_sum_S(
-    f: Form,
-    w1,
-    w2,
-    P: SievingModulus,
-    x: float,
-    workers: int = 1,
-) -> dict:
+def sieved_sum_S(f: Form, w1, w2, P: SievingModulus, x: float) -> dict:
     """S = sum over coprime (d1, d2) of lambda'_{d1} lambda''_{d2}
     A_{d1,d2}(x), evaluated two ways.
 
@@ -532,10 +525,8 @@ def sieved_sum_S(
             if math.gcd(d1, d2) != 1:
                 continue
             g = induced_form(f, d1, d2)
-            by_pairs += l1 * l2 * _lattice_sum(g, x, workers, n_ok, one, one)
-    by_points = _lattice_sum(
-        f, x, workers, n_ok, _theta_table(w1, P.P), _theta_table(w2, P.P)
-    )
+            by_pairs += l1 * l2 * _lattice_sum(g, x, n_ok, one, one)
+    by_points = _lattice_sum(f, x, n_ok, _theta_table(w1, P.P), _theta_table(w2, P.P))
     if by_pairs != by_points:
         raise AssertionError(
             f"evaluation orders disagree: {by_pairs} != {by_points}"
@@ -574,7 +565,7 @@ def theorem15_experiment(
     D = f.discriminant
     h = class_representatives(D).h
     coprime = _coprime_residues(P.P)
-    count = _lattice_sum(f, x, workers, _coprime_residues(2 * P.P), coprime, coprime)
+    count = _lattice_sum(f, x, _coprime_residues(2 * P.P), coprime, coprime, workers)
     lhs = count / stab_order(D)
     dens = float(delta_f(f, P))
     rhs = dens * _li_above_2(x) / h

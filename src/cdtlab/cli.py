@@ -56,6 +56,8 @@ def _cmd_classnum(args) -> int:
 
 def _cmd_count(args) -> int:
     f = _parse_form(args)
+    if args.csv and not args.per_class:
+        args.parser.error("--csv needs --per-class")
     if args.per_class:
         report = chebotarev.equidistribution_report(f.discriminant, args.x, args.workers)
         if args.csv:
@@ -172,7 +174,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = verify.run_checks(full=args.full, workers=args.workers)
+    checks = verify.run_checks(full=args.full)
     failed = 0
     for name, ok, detail in checks:
         print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", action="store_true")
     p.add_argument("--csv")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_count)
+    p.set_defaults(fn=_cmd_count, parser=p)
 
     p = sub.add_parser("delta", help="coprimality density of a form")
     add_form(p)
@@ -264,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the internal invariant suites")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     return top

@@ -65,7 +65,6 @@ class Form:
 def reduce_form(f: Form) -> Form:
     """Unique reduced SL2-equivalent of f: |b| <= a <= c, with b >= 0
     whenever |b| = a or a = c.  Idempotent."""
-    f = Form(*f) if not isinstance(f, Form) else f
     a, b, c = f.a, f.b, f.c
     D = f.discriminant
     while True:
@@ -213,7 +212,7 @@ def is_fundamental(D: int) -> bool:
     if D % 4 == 1:
         return all(e == 1 for _, e in factorize(-D))
     m = D // 4
-    if m % 4 not in (-2, -3, 2, 3):  # m = 2,3 mod 4 up to sign convention
+    if m % 4 not in (2, 3):
         return False
     return all(e == 1 for _, e in factorize(-m))
 
@@ -242,6 +241,9 @@ def induced_form(f: Form, d1: int, d2: int) -> Form:
     return Form(f.a * d1 * d1, f.b * d1 * d2, f.c * d2 * d2)
 
 
+_BLOCK = 1 << 14  # lattice points per block of represented_blocks
+
+
 def _u_bound(f: Form, x: float) -> int:
     return math.isqrt(int(4 * f.c * x / abs(f.discriminant))) + 1
 
@@ -251,7 +253,6 @@ def represented_blocks(
     x: float,
     u_lo: int | None = None,
     u_hi: int | None = None,
-    max_block: int = 1 << 14,
     *,
     admissible: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -268,7 +269,7 @@ def represented_blocks(
     row's range (Pritchard, Acta Inf. 17, 1982; Atkin and Bernstein,
     Math. Comp. 73, 2004).  Rows with no such residue are never built.
 
-    A block of max_block points keeps its int64 temporaries within a
+    A block of _BLOCK points keeps its int64 temporaries within a
     core's L2 cache, so a lattice pass is not bound by the memory bus
     that other processes share.  It also keeps them, about 1 MB, under
     the heap-trim threshold that glibc's malloc sets once the sieve has
@@ -294,7 +295,7 @@ def represented_blocks(
     # a row u holds at most (2*sqrt(x/c) + 2)/W + 1 points per admissible
     # residue: blocks of whole runs (one per row and residue), with the
     # v-ranges of up to 16 blocks' runs computed at once
-    runs = max(1, int(max_block / ((2 * math.sqrt(x / c) + 2) / W + 1)))
+    runs = max(1, int(_BLOCK / ((2 * math.sqrt(x / c) + 2) / W + 1)))
     span = max(1, 16 * runs // max(1, int(table.sum(axis=1).max())))
     for start in range(lo, hi + 1, span):
         us = np.arange(start, min(start + span, hi + 1), dtype=np.int64)

@@ -32,14 +32,14 @@ def _check_arith(rng: random.Random) -> list[Check]:
         a = rng.randrange(1, p)
         euler = pow(a, (p - 1) // 2, p)
         sym = 1 if euler == 1 else -1
-        ok &= arith.kronecker(a if a % 4 in (0, 1) else a - p * p, p) in (-1, 0, 1)
+        ok &= arith.kronecker(a if a % 4 in (0, 1) else a - p * p, p) == sym
         if math.gcd(a, p) == 1:
             # quadratic-residue test against Euler's criterion
             r = arith.sqrt_mod(a, p)
             ok &= (r is not None) == (sym == 1)
             if r is not None:
                 ok &= r * r % p == a % p
-    out.append(("sqrt_mod vs Euler criterion", ok, "200 random residues"))
+    out.append(("kronecker and sqrt_mod vs Euler criterion", ok, "200 random residues"))
     ok = True
     for _ in range(100):
         n = rng.randrange(2, 10**6)
@@ -157,14 +157,14 @@ def _check_errorterms() -> list[Check]:
     return [("eta dominated by classical bound", ok, "3 models x 3 scales")]
 
 
-def _check_chebotarev(workers: int = 1) -> list[Check]:
+def _check_chebotarev() -> list[Check]:
     out: list[Check] = []
     f = quadforms.class_representatives(-23).representatives[0]
-    lattice = chebotarev.pi_class(f, 1e5, workers)
+    lattice = chebotarev.pi_class(f, 1e5)
     scan = chebotarev.pi_class_scan(f, 1e5)
     ok = lattice == scan
     out.append(("lattice vs prime-scan count", ok, f"D=-23, x=1e5: {lattice} vs {scan}"))
-    rep = chebotarev.equidistribution_report(-23, 1e5, workers)
+    rep = chebotarev.equidistribution_report(-23, 1e5)
     out.append(
         (
             "equidistribution at 1e5",
@@ -182,7 +182,7 @@ def _check_chebotarev(workers: int = 1) -> list[Check]:
 _SEED = 7  # the randomized checks draw the same cases on every run
 
 
-def run_checks(full: bool = False, workers: int = 1) -> list[Check]:
+def run_checks(full: bool = False) -> list[Check]:
     rng = random.Random(_SEED)
     checks = (
         _check_arith(rng)
@@ -193,5 +193,5 @@ def run_checks(full: bool = False, workers: int = 1) -> list[Check]:
         + _check_errorterms()
     )
     if full:
-        checks += _check_chebotarev(workers)
+        checks += _check_chebotarev()
     return checks

@@ -134,12 +134,13 @@ def laplace_F(z: complex, params: WeightParams) -> complex:
     return head * L0 * _em(L0 * z) * _em(2 * p.A * z) ** p.ell
 
 
-def verify_bounds(
-    params: WeightParams,
-    sigmas: tuple[float, ...] = (0.05, 0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5),
-    ts: tuple[float, ...] = (0.0, 0.5, 1.0, 5.0, 25.0, 100.0, 1000.0),
-) -> dict:
-    """Numerically check the transform decay bounds on a grid.
+_SIGMAS = (0.05, 0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5)
+_TS = (0.0, 0.5, 1.0, 5.0, 25.0, 100.0, 1000.0)
+
+
+def verify_bounds(params: WeightParams) -> dict:
+    """Numerically check the transform decay bounds at sigma in _SIGMAS
+    and t in _TS.
 
     Checked inequalities, with s = sigma + i t and logx = log x:
       (a) |F(-s logx)| <= e^{sigma eps} x^sigma / (|s| logx)
@@ -156,10 +157,8 @@ def verify_bounds(
     violations: list[str] = []
     worst_margin = math.inf
 
-    for sigma in sigmas:
-        if sigma <= 0:
-            continue
-        for t in ts:
+    for sigma in _SIGMAS:
+        for t in _TS:
             s = complex(sigma, t)
             mod = abs(laplace_F(-s * logx, p))
             crude = math.exp(sigma * p.epsilon) * p.x**sigma
@@ -175,7 +174,7 @@ def verify_bounds(
                 else:
                     worst_margin = min(worst_margin, bound / mod if mod else math.inf)
 
-    for t in ts:
+    for t in _TS:
         s = complex(-0.5, t)
         mod = abs(laplace_F(-s * logx, p))
         bound = (

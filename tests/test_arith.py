@@ -70,6 +70,24 @@ class TestPrimeCache:
         with pytest.raises(ValueError, match="truncated prime cache .*p.pche"):
             arith.PrimeCache.load(path)
 
+    def test_any_flipped_byte_or_truncation_rejected(self, tmp_path):
+        path = tmp_path / "p.pche"
+        arith.primes_up_to(10**3).save(path)
+        data = path.read_bytes()
+
+        @given(st.integers(0, len(data) - 1), st.integers(1, 255), st.booleans())
+        @settings(max_examples=300, deadline=None)
+        def check(i, flip, truncate):
+            if truncate:
+                damaged = data[:i]
+            else:
+                damaged = data[:i] + bytes([data[i] ^ flip]) + data[i + 1 :]
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError):
+                arith.PrimeCache.load(path)
+
+        check()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.pche"
         path.write_bytes(b"NOPE" + bytes(16))

@@ -89,10 +89,6 @@ class TestWeights:
                 for n in range(1, 2001):
                     assert cmp(theta[n], int(math.gcd(n, P) == 1)), (kind, R, n)
 
-    def test_trivial(self):
-        w = bs.SieveWeights.trivial()
-        assert w.lam == {1: 1}
-
 
 class TestCompositionIdentity:
     def test_exact_on_100_random_instances(self):
@@ -166,10 +162,7 @@ class TestCompositionBounds:
             bs.composition_bounds_check(spec, spec, dens)
 
     def test_report_json(self):
-        import json
-
         spec1, spec2, dens = self.make("upper", "upper")
         rep = bs.composition_bounds_check(spec1, spec2, dens)
-        data = json.loads(rep.to_json())
-        assert data["ok"] is True
-        assert data["s"] == pytest.approx(27.0)
+        assert rep.ok is True
+        assert rep.s == pytest.approx(27.0)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cdtlab import verify
 from cdtlab.cli import main
 
 
@@ -268,6 +269,12 @@ class TestVerify:
         assert "checks passed" in out
         assert "FAIL" not in out
 
+    def test_kronecker_check_can_fail(self, monkeypatch):
+        monkeypatch.setattr(verify.arith, "kronecker", lambda D, n: 1)
+        name, ok, _ = verify.run_checks()[0]
+        assert "kronecker" in name
+        assert not ok
+
 
 class TestUsage:
     def test_no_command(self):
@@ -281,7 +288,6 @@ class TestUsage:
         [
             ["count", "1", "1", "6", "1e4"],
             ["experiment", "1", "0", "1", "--modulus", "15", "--x", "1e4"],
-            ["verify"],
         ],
     )
     def test_workers_below_one_rejected(self, capsys, argv, workers):
@@ -293,6 +299,25 @@ class TestUsage:
         assert captured.err.splitlines() == [
             f"error: cdtlab {argv[0]}: argument --workers: must be at least 1, got {workers}"
         ]
+
+    def test_verify_takes_no_workers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--workers", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_csv_without_per_class_rejected(self, capsys, tmp_path):
+        path = tmp_path / "eq.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "1", "1", "6", "1e4", "--csv", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: cdtlab count: --csv needs --per-class"]
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "argv",

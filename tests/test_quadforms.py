@@ -241,11 +241,12 @@ class TestLattice:
         ],
     )
     @pytest.mark.parametrize("key", list(ADMISSIBLE))
-    def test_wheel_blocks_vs_bruteforce(self, f, x, key):
+    def test_wheel_blocks_vs_bruteforce(self, f, x, key, monkeypatch):
         # small blocks, so that rows and residue runs span several blocks
+        monkeypatch.setattr(qf, "_BLOCK", 64)
         got = []
         table = self.admissible(f, key)
-        for U, V, N in qf.represented_blocks(f, x, max_block=64, admissible=table):
+        for U, V, N in qf.represented_blocks(f, x, admissible=table):
             for u, v, n in zip(U.tolist(), V.tolist(), N.tolist()):
                 assert f(u, v) == n
                 got.append((u, v))
