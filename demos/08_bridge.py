@@ -14,7 +14,7 @@ x = 1e5
 
 events = psi_events(f, x)
 print(f"class {tuple(f)}: {len(events)} prime-power events up to {x:.0e}")
-print(f"psi_C(x) = {psi_class(f, x, events):.2f}, x/h = {x / 3:.2f}")
+print(f"psi_C(x) = {psi_class(f, x):.2f}, x/h = {x / 3:.2f}")
 print()
 
 br = bridge_check(f, x)

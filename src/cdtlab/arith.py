@@ -78,9 +78,6 @@ class PrimeCache:
     def __post_init__(self):
         self.flags.setflags(write=False)
 
-    def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.limit and bool(self.flags[n])
-
     def count(self) -> int:
         return int(np.count_nonzero(self.flags))
 

@@ -55,6 +55,10 @@ class SieveSpec:
             raise ValueError(f"support primes must be distinct, got {self.support}")
         if self.beta is None:
             object.__setattr__(self, "beta", 9 * self.kappa + 1)
+        for name in ("kappa", "K_const", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
         if self.s < 1:
@@ -126,12 +130,6 @@ class DensityPair:
             if not (0 <= a < 1 and 0 <= b < 1 and a + b < 1):
                 raise ValueError(f"density invariants violated at p = {p}")
 
-    def eval1(self, d: int) -> Fraction:
-        return _eval_multiplicative(self.g1, d)
-
-    def eval2(self, d: int) -> Fraction:
-        return _eval_multiplicative(self.g2, d)
-
 
 def _eval_multiplicative(g: Mapping[int, Fraction], d: int) -> Fraction:
     if d == 1:
@@ -151,13 +149,13 @@ def reduced_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> F
     g'(d1) g''(d2), exact."""
     total = Fraction(0)
     for d1, l1 in w1.lam.items():
-        gd1 = d.eval1(d1)
+        gd1 = _eval_multiplicative(d.g1, d1)
         if gd1 == 0 and d1 != 1:
             continue
         for d2, l2 in w2.lam.items():
             if math.gcd(d1, d2) != 1:
                 continue
-            total += l1 * l2 * gd1 * d.eval2(d2)
+            total += l1 * l2 * gd1 * _eval_multiplicative(d.g2, d2)
     return total
 
 
@@ -180,14 +178,14 @@ def invert_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> Fr
     total = Fraction(0)
     for b1 in divs:
         t1 = th1[b1]
-        gb1 = d.eval1(b1)
+        gb1 = _eval_multiplicative(d.g1, b1)
         if b1 != 1 and (t1 == 0 or gb1 == 0):
             continue
         for b2 in divs:
             if math.gcd(b1, b2) != 1:
                 continue
             t2 = th2[b2]
-            gb2 = d.eval2(b2)
+            gb2 = _eval_multiplicative(d.g2, b2)
             if (t2 == 0 or gb2 == 0) and b2 != 1:
                 continue
             rest = Fraction(1)

@@ -28,7 +28,6 @@ represent it.
 
 from __future__ import annotations
 
-import csv
 import math
 import multiprocessing
 import os
@@ -70,10 +69,8 @@ __all__ = [
     "pi_class",
     "pi_class_scan",
     "equidistribution_report",
-    "equidistribution_csv",
     "psi_events",
     "psi_class",
-    "pi_ideal_count",
     "psi_class_smooth",
     "main_term",
     "congruence_sum_A",
@@ -280,11 +277,9 @@ def pi_class_scan(target: Form, x: float) -> int:
     """
     target = reduce_form(target)
     D = target.discriminant
-    table = prime_table(int(x))
+    flags = prime_table(int(x)).flags
     total = 0
-    for p in table.primes().tolist():
-        if p > x:
-            break
+    for p in np.flatnonzero(flags[: max(int(x), 0) + 1]).tolist():
         g = prime_to_class(p, D)
         if g is not None:
             total += (g == target) + (D % p != 0 and inverse_form(g) == target)
@@ -311,14 +306,6 @@ def equidistribution_report(D: int, x: float, workers: int = 1) -> dict:
         worst = max(worst, rel)
         rows.append({"form": list(f), "count": count, "expected": expected, "rel_error": rel})
     return {"D": D, "x": x, "h": cl.h, "expected": expected, "rows": rows, "max_rel_error": worst}
-
-
-def equidistribution_csv(report: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["a", "b", "c", "count", "expected", "rel_error"])
-        for row in report["rows"]:
-            w.writerow(row["form"] + [row["count"], row["expected"], row["rel_error"]])
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +370,10 @@ def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
     return events
 
 
-def psi_class(target: Form, x: float, events=None) -> float:
-    if events is None:
-        events = psi_events(target, x)
-    return math.fsum(w for n, w, _ in events if n <= x)
-
-
-def pi_ideal_count(target: Form, x: float, events=None) -> int:
-    """Number of prime ideals of norm <= x in the class of `target`."""
-    if events is None:
-        events = psi_events(target, x)
-    return sum(1 for n, _, first in events if first and n <= x)
+def psi_class(target: Form, x: float) -> float:
+    """psi_C(x): the log-weights of the prime-power events of the class
+    of `target` with norm <= x, summed exactly (math.fsum)."""
+    return math.fsum(w for _, w, _ in psi_events(target, x))
 
 
 def psi_class_smooth(target: Form, params: WeightParams) -> float:
@@ -417,16 +397,20 @@ def main_term(x: float, h: int, siegel: SiegelData | None = None) -> float:
 
 def bridge_check(target: Form, x: float) -> dict:
     """Partial-summation bridge pi_C(x) ~ psi_C(x)/log x
-    + int_sqrt(x)^x psi_C(t) dt/(t log^2 t), with the integral evaluated
-    exactly from the event list.  Reports the smallest C with
+    + int_sqrt(x)^x psi_C(t) dt/(t log^2 t).
+
+    pi_C(x), psi_C(x) and the integral are all read off one event list
+    of psi_events(target, x): pi_C counts its prime-ideal events, psi_C
+    sums its log-weights, and the integral of the step function psi_C is
+    a sum over the events.  Reports the smallest C with
     |difference| <= C sqrt(x)/log x."""
     if x < 100:
         raise ValueError("bridge_check requires x >= 100")
     events = psi_events(target, x)
     logx = math.log(x)
     sqrtx = math.sqrt(x)
-    pi_val = pi_ideal_count(target, x, events)
-    psi_val = psi_class(target, x, events)
+    pi_val = sum(1 for _, _, first in events if first)
+    psi_val = math.fsum(w for _, w, _ in events)
     integral = math.fsum(
         w * (1 / math.log(max(sqrtx, n)) - 1 / logx) for n, w, _ in events
     )
@@ -561,6 +545,8 @@ def theorem15_experiment(
     When delta_f(P) vanishes, as under the parity obstruction, the left
     side must vanish exactly and the statement is trivially true.
     """
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
     f = reduce_form(f)
     D = f.discriminant
     h = class_representatives(D).h

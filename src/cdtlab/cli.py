@@ -9,6 +9,7 @@ as one `error:` line on stderr.  Library warnings print as one
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import re
@@ -19,10 +20,6 @@ from dataclasses import asdict
 from . import betasieve, chebotarev, densities, errorterms, quadforms, verify, weights
 
 
-def _parse_form(args) -> "quadforms.Form":
-    return quadforms.Form(args.a, args.b, args.c)
-
-
 def positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -30,12 +27,26 @@ def positive_int(text: str) -> int:
     return n
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def _emit(data, args) -> None:
     text = json.dumps(data, indent=2, default=str)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _cmd_classnum(args) -> int:
@@ -55,13 +66,14 @@ def _cmd_classnum(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    f = _parse_form(args)
+    f = quadforms.Form(args.a, args.b, args.c)
     if args.csv and not args.per_class:
         args.parser.error("--csv needs --per-class")
     if args.per_class:
         report = chebotarev.equidistribution_report(f.discriminant, args.x, args.workers)
         if args.csv:
-            chebotarev.equidistribution_csv(report, args.csv)
+            rows = [r["form"] + [r["count"], r["expected"], r["rel_error"]] for r in report["rows"]]
+            _write_csv(args.csv, ["a", "b", "c", "count", "expected", "rel_error"], rows)
         _emit(report, args)
         return 0
     count = chebotarev.count_prime_points(f, args.x, args.workers)
@@ -78,7 +90,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    f = _parse_form(args)
+    f = quadforms.Form(args.a, args.b, args.c)
     P = densities.SievingModulus.from_int(args.modulus)
     d = densities.delta_f(f, P)
     _emit(
@@ -95,9 +107,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    support = tuple(int(p) for p in args.support.split(","))
     spec = betasieve.SieveSpec(
-        z=args.z, R=args.R, kind=args.kind, kappa=args.kappa, support=support
+        z=args.z, R=args.R, kind=args.kind, kappa=args.kappa, support=args.support
     )
     w = betasieve.beta_sieve_weights(spec)
     _emit(
@@ -149,22 +160,19 @@ def _cmd_bounds(args) -> int:
         except errorterms.ConfigurationError as exc:
             out["siegel"] = f"out of range: {exc}"
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["x", "eta", "exp_neg_eta", "classical_error"])
-            x = 10.0
-            while x <= args.x:
-                e = errorterms.eta(x, model)
-                w.writerow([x, e, math.exp(-e), errorterms.classical_error(x, model)])
-                x *= 10.0
+        rows = []
+        x = 10.0
+        while x <= args.x:
+            e = errorterms.eta(x, model)
+            rows.append([x, e, math.exp(-e), errorterms.classical_error(x, model)])
+            x *= 10.0
+        _write_csv(args.csv, ["x", "eta", "exp_neg_eta", "classical_error"], rows)
     _emit(out, args)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    f = _parse_form(args)
+    f = quadforms.Form(args.a, args.b, args.c)
     P = densities.SievingModulus.from_int(args.modulus)
     report = chebotarev.theorem15_experiment(
         f, P, args.x, workers=args.workers, tolerance=args.tolerance
@@ -199,52 +207,49 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="cdtlab")
     sub = top.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # shared by the JSON commands
+    out.add_argument("--out")
 
     def add_form(p):
         p.add_argument("a", type=int)
         p.add_argument("b", type=int)
         p.add_argument("c", type=int)
 
-    p = sub.add_parser("classnum", help="class number and reduced forms of an order")
+    p = sub.add_parser("classnum", parents=[out], help="class number and reduced forms of an order")
     p.add_argument("D", type=int, help="fundamental discriminant, negative")
     p.add_argument("--conductor", type=int, default=1)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_classnum)
 
-    p = sub.add_parser("count", help="primes represented by a form up to x")
+    p = sub.add_parser("count", parents=[out], help="primes represented by a form up to x")
     add_form(p)
     p.add_argument("x", type=float)
     p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--per-class", action="store_true")
     p.add_argument("--csv")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_count, parser=p)
 
-    p = sub.add_parser("delta", help="coprimality density of a form")
+    p = sub.add_parser("delta", parents=[out], help="coprimality density of a form")
     add_form(p)
     p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_delta)
 
-    p = sub.add_parser("sieve", help="beta-sieve weight table")
+    p = sub.add_parser("sieve", parents=[out], help="beta-sieve weight table")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--kind", choices=("upper", "lower"), default="upper")
     p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--support", required=True, help="comma-separated primes")
-    p.add_argument("--out")
+    p.add_argument("--support", type=int_list, required=True, help="comma-separated primes")
     p.set_defaults(fn=_cmd_sieve)
 
-    p = sub.add_parser("weights", help="smoothed weight transform report")
+    p = sub.add_parser("weights", parents=[out], help="smoothed weight transform report")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--ell", type=int)
     p.add_argument("--n-K", type=int, default=2)
     p.add_argument("--c-ZDE", type=int, default=10)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_weights, parser=p)
 
-    p = sub.add_parser("bounds", help="analytic error bound calculus")
+    p = sub.add_parser("bounds", parents=[out], help="analytic error bound calculus")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--D-K", type=float, default=3.0)
     p.add_argument("--n-K", type=int, default=2)
@@ -252,16 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta1", type=float)
     p.add_argument("--theta1", type=int, default=1)
     p.add_argument("--csv")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("experiment", help="sifted prime count vs prediction")
+    p = sub.add_parser("experiment", parents=[out], help="sifted prime count vs prediction")
     add_form(p)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the internal invariant suites")

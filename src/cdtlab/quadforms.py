@@ -19,7 +19,6 @@ from .arith import check_finite, factorize, kronecker, sqrt_mod
 __all__ = [
     "Form",
     "ClassList",
-    "OrderData",
     "reduce_form",
     "class_representatives",
     "class_number",
@@ -141,27 +140,6 @@ def stab_order(D: int) -> int:
     return 2
 
 
-@dataclass(frozen=True)
-class OrderData:
-    """The order of conductor d inside the maximal order of disc D0."""
-
-    D0: int
-    d: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.D0 * self.d * self.d
-
-    @property
-    def unit_order(self) -> int:
-        return stab_order(self.discriminant)
-
-    @property
-    def unit_index(self) -> int:
-        # [O^x : O_d^x]
-        return stab_order(self.D0) // self.unit_order
-
-
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -230,7 +208,7 @@ def class_number_order(D0: int, d: int) -> int:
     num = class_number(D0)
     for p, e in factorize(d) if d > 1 else []:
         num *= p ** (e - 1) * (p - kronecker(D0, p))
-    index = OrderData(D0, d).unit_index
+    index = stab_order(D0) // stab_order(D0 * d * d)  # [O^x : O_d^x]
     if num % index != 0:
         raise ArithmeticError("class number formula did not divide evenly")
     return num // index

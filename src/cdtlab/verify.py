@@ -32,13 +32,12 @@ def _check_arith(rng: random.Random) -> list[Check]:
         a = rng.randrange(1, p)
         euler = pow(a, (p - 1) // 2, p)
         sym = 1 if euler == 1 else -1
-        ok &= arith.kronecker(a if a % 4 in (0, 1) else a - p * p, p) == sym
-        if math.gcd(a, p) == 1:
-            # quadratic-residue test against Euler's criterion
-            r = arith.sqrt_mod(a, p)
-            ok &= (r is not None) == (sym == 1)
-            if r is not None:
-                ok &= r * r % p == a % p
+        ok &= arith.kronecker(4 * a, p) == sym  # (4a/p) = (a/p) for odd p
+        # quadratic-residue test against Euler's criterion
+        r = arith.sqrt_mod(a, p)
+        ok &= (r is not None) == (sym == 1)
+        if r is not None:
+            ok &= r * r % p == a % p
     out.append(("kronecker and sqrt_mod vs Euler criterion", ok, "200 random residues"))
     ok = True
     for _ in range(100):

@@ -2,6 +2,7 @@ import bisect
 import functools
 import math
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -183,17 +184,26 @@ class TestCounting:
             lattice = ch.count_prime_points(f, x)
             assert lattice == qf.stab_order(f.discriminant) * ch.pi_class_scan(f, x), x
 
-    def test_equidistribution_report(self, tmp_path):
+    def test_scan_reads_only_primes_up_to_x(self, monkeypatch):
+        # a larger table already in memory must not be listed whole
+        monkeypatch.setattr(ch, "_TABLE", primes_up_to(10**7))
+        ch.pi_class_scan(qf.Form(2, 1, 3), 100)  # warm the class caches
+        tracemalloc.start()
+        try:
+            count = ch.pi_class_scan(qf.Form(2, 1, 3), 1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 408
+        assert peak < 1 << 20
+
+    def test_equidistribution_report(self):
         rep = ch.equidistribution_report(-23, 1e5)
         assert rep["h"] == 3
         assert rep["max_rel_error"] < 0.05
         assert sum(r["count"] for r in rep["rows"]) == pytest.approx(
             li(1e5), rel=0.02
         )
-        path = tmp_path / "eq.csv"
-        ch.equidistribution_csv(rep, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4 and lines[0].startswith("a,b,c")
 
 
 # the reference walk revisits the same primes for every form and bound

@@ -46,7 +46,8 @@ class TestCount:
         )
         assert code == 0
         assert json.loads(out)["h"] == 3
-        assert path.exists()
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == 4 and lines[0] == "a,b,c,count,expected,rel_error"
 
     def test_unwritable_csv(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
@@ -125,14 +126,28 @@ class TestSieve:
             (["--z", "8", "--support", "3,3,5"], "support primes must be distinct, got (3, 3, 5)"),
             (["--z", "8", "--support", "3", "--R", "inf"], "level R must be a finite number, got inf"),
             (["--z", "8", "--support", "3", "--R", "nan"], "level R must be a finite number, got nan"),
+            (["--z", "8", "--support", "3", "--kappa", "nan"], "kappa must be a finite number, got nan"),
+            (["--z", "8", "--support", "3", "--kappa", "inf"], "kappa must be a finite number, got inf"),
         ],
-        ids=["composite-support", "z-one", "repeated-support", "R-inf", "R-nan"],
+        ids=["composite-support", "z-one", "repeated-support", "R-inf", "R-nan", "kappa-nan",
+             "kappa-inf"],
     )
     def test_bad_spec_rejected(self, capsys, argv, message):
         assert main(["sieve", "--R", "1e10", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_non_integer_support_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sieve", "--z", "8", "--R", "1e10", "--support", "3,x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: cdtlab sieve: argument --support: "
+            "expected comma-separated integers, got '3,x'"
+        ]
 
 
 class TestWeights:
@@ -155,6 +170,17 @@ class TestWeights:
         assert captured.err.splitlines() == [
             "error: cdtlab weights: --epsilon and --ell go together: give both or neither"
         ]
+
+    @pytest.mark.parametrize("ell", ["80", "200"])
+    def test_large_ell_reports(self, capsys, ell):
+        # the decay bounds (2 ell/eps)^ell pass a float's range here
+        code, out = run(capsys, "weights", "--x", "1e5", "--epsilon", "0.05", "--ell", ell)
+        assert code in (0, 1)
+
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert json.loads(out, parse_constant=not_json)["params"]["ell"] == int(ell)
 
     def test_standard_choice_out_of_range(self, capsys):
         # ell = 4 * 10 * 2 = 80: the standard epsilon is below 1/4 only past 2560^640
@@ -261,6 +287,16 @@ class TestExperiment:
         assert code == 0
         assert json.loads(out)["obstructed"] is True
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "0"])
+    def test_bad_tolerance_rejected(self, capsys, tolerance):
+        argv = ["experiment", "1", "0", "1", "--modulus", "15015", "--x", "1e5"]
+        assert main(argv + ["--tolerance", tolerance]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: tolerance must be a finite number > 0, got {float(tolerance)}"
+        ]
+
 
 class TestVerify:
     def test_quick(self, capsys):
@@ -274,6 +310,16 @@ class TestVerify:
         name, ok, _ = verify.run_checks()[0]
         assert "kronecker" in name
         assert not ok
+
+    def test_kronecker_gets_discriminants(self, monkeypatch):
+        kronecker = verify.arith.kronecker
+
+        def checked(D, n):
+            assert D % 4 in (0, 1), D
+            return kronecker(D, n)
+
+        monkeypatch.setattr(verify.arith, "kronecker", checked)
+        assert all(ok for _, ok, _ in verify.run_checks())
 
 
 class TestUsage:

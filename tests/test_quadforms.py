@@ -144,11 +144,6 @@ class TestOrders:
         assert qf.stab_order(-4) == 4
         assert qf.stab_order(-23) == 2
 
-    def test_unit_index(self):
-        assert qf.OrderData(-3, 2).unit_index == 3
-        assert qf.OrderData(-4, 3).unit_index == 2
-        assert qf.OrderData(-7, 5).unit_index == 1
-
     def test_conductor_formula_vs_enumeration(self):
         for D0 in (-3, -4, -7, -8, -23, -47):
             for d in range(1, 9):
