@@ -6,6 +6,7 @@ eta(x) saddle, the classical error shape, and the Siegel-regime split.
 """
 
 import math
+from dataclasses import replace
 
 from cdtlab import ErrorModel, classical_error, eta
 from cdtlab.errorterms import B1, main_term_floor, nu1, siegel_error
@@ -24,7 +25,7 @@ print()
 # error into small- and large-lambda regimes
 x = m.Q**40
 lam = 0.01
-ms = m.with_siegel(1 - lam / math.log(x), 1)
+ms = replace(m, beta1=1 - lam / math.log(x), theta1=1)
 print(f"exceptional zero with lambda_1 = {lam}:")
 print(f"  B1 = {B1(math.sqrt(x), ms):.4f}, nu1 = {nu1(ms):.4f}")
 se = siegel_error(x, ms)

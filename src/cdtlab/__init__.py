@@ -25,7 +25,7 @@ from .chebotarev import (
     theorem15_experiment,
 )
 from .densities import SievingModulus, delta_f, g_dprime, g_prime
-from .errorterms import ErrorModel, SiegelData, classical_error, eta
+from .errorterms import ErrorModel, classical_error, eta
 from .quadforms import (
     ClassList,
     Form,

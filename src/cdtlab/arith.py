@@ -13,7 +13,6 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -330,7 +329,6 @@ def check_finite(x: float) -> None:
         raise ValueError(f"x must be a finite number, got {x}")
 
 
-@lru_cache(maxsize=4096)
 def li(x: float) -> float:
     """Logarithmic integral Li(x) = int_2^x dt/log t.
 

@@ -59,6 +59,8 @@ class SieveSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")
+        if self.kappa < 0:
+            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
         if self.s < 1:

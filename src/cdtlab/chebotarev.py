@@ -48,7 +48,7 @@ from .densities import (
     g_prime,
     represents_odd_primes_obstructed,
 )
-from .errorterms import ErrorModel, SiegelData, remainder_R
+from .errorterms import ErrorModel, remainder_R
 from .quadforms import (
     Form,
     _u_bound,
@@ -384,14 +384,14 @@ def psi_class_smooth(target: Form, params: WeightParams) -> float:
     return math.fsum(w * weight(math.log(n) / params.log_x) for n, w, _ in events)
 
 
-def main_term(x: float, h: int, siegel: SiegelData | None = None) -> float:
+def main_term(x: float, h: int, model: ErrorModel | None = None) -> float:
     """(Li(x) - theta1 * Li(x^beta1)) / h; the exceptional-zero secondary
-    term only appears when Siegel data is supplied."""
+    term only appears when the model carries a zero beta1."""
     if h < 1:
         raise ValueError("class number must be >= 1")
     out = li(x)
-    if siegel is not None and siegel.exists:
-        out -= siegel.theta1 * li(x**siegel.beta1)
+    if model is not None and model.beta1 is not None:
+        out -= model.theta1 * li(x**model.beta1)
     return out / h
 
 

@@ -139,9 +139,12 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    model = errorterms.ErrorModel(D_K=args.D_K, n_K=args.n_K, Qcal=args.Q_cal)
-    if args.beta1 is not None:
-        model = model.with_siegel(args.beta1, args.theta1)
+    if args.beta1 is None and args.theta1 is not None:
+        args.parser.error("--theta1 needs --beta1")
+    theta1 = 0 if args.beta1 is None else (1 if args.theta1 is None else args.theta1)
+    model = errorterms.ErrorModel(
+        D_K=args.D_K, n_K=args.n_K, Qcal=args.Q_cal, beta1=args.beta1, theta1=theta1
+    )
     out = {
         "Q": model.Q,
         "eta": errorterms.eta(args.x, model),
@@ -154,7 +157,7 @@ def _cmd_bounds(args) -> int:
         out["thm11_error"] = errorterms.thm11_error(args.x, model)
     except errorterms.ConfigurationError as exc:
         out["thm11_error"] = f"out of range: {exc}"
-    if model.siegel.exists:
+    if model.beta1 is not None:
         try:
             out["siegel"] = errorterms.siegel_error(args.x, model)
         except errorterms.ConfigurationError as exc:
@@ -255,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-K", type=int, default=2)
     p.add_argument("--Q-cal", type=float, default=1.0)
     p.add_argument("--beta1", type=float)
-    p.add_argument("--theta1", type=int, default=1)
+    p.add_argument("--theta1", type=int, help="sign of the zero (default +1); needs --beta1")
     p.add_argument("--csv")
-    p.set_defaults(fn=_cmd_bounds)
+    p.set_defaults(fn=_cmd_bounds, parser=p)
 
     p = sub.add_parser("experiment", parents=[out], help="sifted prime count vs prediction")
     add_form(p)
@@ -284,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.fn(args)
-        except (ValueError, errorterms.ConfigurationError, ArithmeticError, OSError) as exc:
+        except (ValueError, ArithmeticError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

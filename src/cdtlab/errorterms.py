@@ -5,6 +5,10 @@ Stark's floor for the exceptional zero, the single-variable optimization
 eta(x), its classical closed-form bound, the Siegel-zero regimes, the
 main-term lower bound, and the remainder-sum estimates.
 
+The optional exceptional zero is two fields of the model: beta1, never
+computed, only supplied, and its sign theta1 (0 exactly when there is no
+zero).  Every bound reads lambda1 = (1 - beta1) log Q from `nu1`.
+
 None of the underlying theorems are proved here; every "absolute,
 effective" constant the source theory leaves unnumbered is an explicit
 configuration field, and inequality checks report the smallest constant
@@ -15,12 +19,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .arith import check_finite, divisors, euler_phi, tau
 
 __all__ = [
-    "SiegelData",
     "ErrorModel",
     "ConfigurationError",
     "delta_zfr",
@@ -40,38 +43,14 @@ __all__ = [
 ]
 
 
-class ConfigurationError(Exception):
+class ConfigurationError(ValueError):
     """A bound was evaluated outside its stated hypotheses."""
 
 
 @dataclass(frozen=True)
-class SiegelData:
-    """Optional user-supplied exceptional-zero data; never computed."""
-
-    beta1: float | None = None
-    theta1: int = 0
-
-    def __post_init__(self):
-        if (self.beta1 is None) != (self.theta1 == 0):
-            raise ValueError("theta1 = 0 exactly when beta1 is absent")
-        if self.beta1 is not None and not 0.5 < self.beta1 < 1:
-            raise ValueError("beta1 must lie in (1/2, 1)")
-        if self.theta1 not in (-1, 0, 1):
-            raise ValueError("theta1 must be -1, 0 or +1")
-
-    @property
-    def exists(self) -> bool:
-        return self.beta1 is not None
-
-    def lambda1(self, log_Q: float) -> float:
-        if self.beta1 is None:
-            raise ValueError("no exceptional zero supplied")
-        return (1 - self.beta1) * log_Q
-
-
-@dataclass(frozen=True)
 class ErrorModel:
-    """Field invariants and explicit constants powering every bound."""
+    """Field invariants, explicit constants and the optional exceptional
+    zero powering every bound."""
 
     D_K: float = 3.0
     n_K: int = 2
@@ -86,7 +65,8 @@ class ErrorModel:
     c_SZ_err: float = 1.0
     c_SZ_size: float = 36.0
     c_SZ_lambda: float = 0.125
-    siegel: SiegelData = field(default_factory=SiegelData)
+    beta1: float | None = None
+    theta1: int = 0
 
     def __post_init__(self):
         for name in ("D_K", "Qcal"):
@@ -99,6 +79,12 @@ class ErrorModel:
             raise ValueError("c_ZDE must be an integer >= 1")
         if self.Q < 2:
             raise ValueError("bound evaluations need Q >= 2")
+        if (self.beta1 is None) != (self.theta1 == 0):
+            raise ValueError("theta1 = 0 exactly when beta1 is absent")
+        if self.beta1 is not None and not 0.5 < self.beta1 < 1:
+            raise ValueError("beta1 must lie in (1/2, 1)")
+        if self.theta1 not in (-1, 0, 1):
+            raise ValueError("theta1 must be -1, 0 or +1")
 
     @property
     def Q(self) -> float:
@@ -108,36 +94,33 @@ class ErrorModel:
     def log_Q(self) -> float:
         return math.log(self.Q)
 
-    def with_siegel(self, beta1: float | None, theta1: int | None = None) -> "ErrorModel":
-        if beta1 is None:
-            return replace(self, siegel=SiegelData())
-        return replace(
-            self, siegel=SiegelData(beta1=beta1, theta1=1 if theta1 is None else theta1)
-        )
+
+def _log_QT(t: float, m: ErrorModel) -> float:
+    """log(Q t^n_K), the analytic conductor at height t."""
+    return m.log_Q + m.n_K * math.log(t)
 
 
 def delta_zfr(t: float, m: ErrorModel) -> float:
     """Classical zero-free-region width c_ZFR / log(Q t^n_K) at height t."""
     if t < 3:
         raise ValueError("delta_zfr requires t >= 3")
-    return m.c_ZFR / (m.log_Q + m.n_K * math.log(t))
+    return m.c_ZFR / _log_QT(t, m)
 
 def delta_repulsion(t: float, m: ErrorModel) -> float:
     """Repulsion width min{1/2, c_DH log(1/((1-b1) log(Q t^n)))/log(Q t^n)}."""
-    if not m.siegel.exists:
-        raise RuntimeError("delta_repulsion requires Siegel data")
+    if m.beta1 is None:
+        raise ConfigurationError("delta_repulsion requires an exceptional zero beta1")
     if t < 3:
         raise ValueError("delta_repulsion requires t >= 3")
-    logQt = m.log_Q + m.n_K * math.log(t)
-    lam = (1 - m.siegel.beta1) * logQt
+    lam = B1(t, m)  # (1 - b1) log(Q t^n), capped at 1
     if lam >= 1:
         return 0.0
-    return min(0.5, m.c_DH * math.log(1 / lam) / logQt)
+    return min(0.5, m.c_DH * math.log(1 / lam) / _log_QT(t, m))
 
 
 def combined_delta(t: float, m: ErrorModel) -> float:
     base = delta_zfr(t, m)
-    if m.siegel.exists:
+    if m.beta1 is not None:
         return max(base, delta_repulsion(t, m))
     return base
 
@@ -147,24 +130,25 @@ def B1(T: float, m: ErrorModel) -> float:
     an exceptional zero."""
     if T < 1:
         raise ValueError("B1 requires T >= 1")
-    if not m.siegel.exists:
+    if m.beta1 is None:
         return 1.0
-    return min(1.0, (1 - m.siegel.beta1) * (m.log_Q + m.n_K * math.log(T)))
+    return min(1.0, (1 - m.beta1) * _log_QT(T, m))
 
 
 def nu1(m: ErrorModel) -> float:
-    if not m.siegel.exists:
+    """lambda1 = (1 - beta1) log Q; 1 without an exceptional zero."""
+    if m.beta1 is None:
         return 1.0
-    return (1 - m.siegel.beta1) * m.log_Q
+    return (1 - m.beta1) * m.log_Q
 
 
 def stark_floor(m: ErrorModel) -> float:
-    """Effective floor c_Stark * Q^-2 for lambda1; warns when supplied
-    Siegel data violates it."""
+    """Effective floor c_Stark * Q^-2 for lambda1; warns when the supplied
+    exceptional zero violates it."""
     floor = m.c_Stark * m.Q**-2
-    if m.siegel.exists and m.siegel.lambda1(m.log_Q) < floor:
+    if m.beta1 is not None and nu1(m) < floor:
         warnings.warn(
-            f"supplied Siegel zero has lambda1 = {m.siegel.lambda1(m.log_Q):.3g} "
+            f"supplied Siegel zero has lambda1 = {nu1(m):.3g} "
             f"below the effective floor {floor:.3g}",
             stacklevel=2,
         )
@@ -233,9 +217,9 @@ def siegel_error(x: float, m: ErrorModel) -> dict:
     Returns both values, the regime selected by the threshold, and the
     smallest C with e^{-eta(x)} <= C * selected value.
     """
-    if not m.siegel.exists:
-        raise ConfigurationError("siegel_error requires Siegel data")
-    lam = m.siegel.lambda1(m.log_Q)
+    if m.beta1 is None:
+        raise ConfigurationError("siegel_error requires an exceptional zero beta1")
+    lam = nu1(m)
     if lam > m.c_SZ_lambda:
         raise ConfigurationError(
             f"lambda1 = {lam:.3g} exceeds the smallness threshold {m.c_SZ_lambda}"
@@ -274,7 +258,7 @@ def main_term_floor(x: float, m: ErrorModel) -> dict:
     if x < m.Q ** (36 * m.c_ZDE):
         raise ConfigurationError("main_term_floor requires x >= Q^(36 c_ZDE)")
     floor = nu1(m) * x
-    if not m.siegel.exists:
+    if m.beta1 is None:
         return {
             "case": "no_zero",
             "actual": x,
@@ -283,11 +267,11 @@ def main_term_floor(x: float, m: ErrorModel) -> dict:
             "implied_constant": 1.0,
             "floor_constant": 1.0,
         }
-    b1 = m.siegel.beta1
+    b1 = m.beta1
     logx = math.log(x)
-    actual = x - m.siegel.theta1 * x**b1 / b1
+    actual = x - m.theta1 * x**b1 / b1
     lam_x = (1 - b1) * logx
-    if m.siegel.theta1 != 1:
+    if m.theta1 != 1:
         case, bound = "negative_theta1", x
     elif lam_x < 1:
         case, bound = "small_lambda", (1 - b1) * x * (logx - 1)

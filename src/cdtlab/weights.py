@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from math import comb, fsum
 
@@ -163,6 +164,13 @@ def verify_bounds(params: WeightParams) -> dict:
     """
     p = params
     logx = p.log_x
+    # |F(-sigma logx)| reaches e^{sigma eps} x^sigma, a float only up to x_max
+    x_max = math.exp(math.log(sys.float_info.max) / _SIGMAS[-1] - p.epsilon)
+    if p.x > x_max:
+        raise ValueError(
+            f"x = {p.x:g} exceeds {x_max:g}, the largest x at which "
+            f"e^(sigma eps) x^sigma fits a float for sigma = {_SIGMAS[-1]}"
+        )
     violations: list[str] = []
     worst_margin = math.inf
 

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -183,7 +184,7 @@ def test_criterion_7_error_calculus():
         x = m.Q**36
         cases = set()
         for siegel, theta in ((None, 0), (0.01, 1), (2.0, 1), (0.5, -1)):
-            mm = m if siegel is None else m.with_siegel(1 - siegel / math.log(x), theta)
+            mm = m if siegel is None else replace(m, beta1=1 - siegel / math.log(x), theta1=theta)
             out = et.main_term_floor(x, mm)
             cases.add(out["case"])
             ok = ok and out["actual"] > 0 and 0.25 <= out["implied_constant"] <= 4.0

@@ -15,7 +15,7 @@ from cdtlab import densities as de
 from cdtlab import quadforms as qf
 from cdtlab.arith import PrimeCache, is_prime, li, primes_up_to
 from cdtlab.betasieve import SieveSpec, beta_sieve_weights
-from cdtlab.errorterms import ErrorModel, SiegelData
+from cdtlab.errorterms import ErrorModel
 
 
 def brute_prime_points(f, x, cond=None):
@@ -348,8 +348,8 @@ class TestPsi:
 class TestMainTermAndBridge:
     def test_main_term(self):
         assert ch.main_term(1e6, 3) == pytest.approx(li(1e6) / 3)
-        s = SiegelData(beta1=0.95, theta1=1)
-        assert ch.main_term(1e6, 3, s) == pytest.approx(
+        m = ErrorModel(beta1=0.95, theta1=1)
+        assert ch.main_term(1e6, 3, m) == pytest.approx(
             (li(1e6) - li(1e6**0.95)) / 3
         )
         with pytest.raises(ValueError):

@@ -128,9 +128,10 @@ class TestSieve:
             (["--z", "8", "--support", "3", "--R", "nan"], "level R must be a finite number, got nan"),
             (["--z", "8", "--support", "3", "--kappa", "nan"], "kappa must be a finite number, got nan"),
             (["--z", "8", "--support", "3", "--kappa", "inf"], "kappa must be a finite number, got inf"),
+            (["--z", "8", "--support", "3", "--kappa", "-1"], "kappa must be >= 0, got -1.0"),
         ],
         ids=["composite-support", "z-one", "repeated-support", "R-inf", "R-nan", "kappa-nan",
-             "kappa-inf"],
+             "kappa-inf", "kappa-negative"],
     )
     def test_bad_spec_rejected(self, capsys, argv, message):
         assert main(["sieve", "--R", "1e10", *argv]) == 2
@@ -181,6 +182,22 @@ class TestWeights:
             raise ValueError(f"{name} is not JSON")
 
         assert json.loads(out, parse_constant=not_json)["params"]["ell"] == int(ell)
+
+    @pytest.mark.parametrize("x", ["1e206", "1e210"])
+    def test_x_past_float_range_rejected(self, capsys, x):
+        # |F(-1.5 log x)| ~ e^(1.5 eps) x^1.5 passes the largest float near 3e205
+        assert main(["weights", "--x", x, "--epsilon", "0.05", "--ell", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: x = {float(x):g} exceeds 3.0299e+205, the largest x at which "
+            "e^(sigma eps) x^sigma fits a float for sigma = 1.5"
+        ]
+
+    def test_x_below_float_limit_reports(self, capsys):
+        code, out = run(capsys, "weights", "--x", "1e205", "--epsilon", "0.05", "--ell", "4")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
     def test_standard_choice_out_of_range(self, capsys):
         # ell = 4 * 10 * 2 = 80: the standard epsilon is below 1/4 only past 2560^640
@@ -252,14 +269,28 @@ class TestBounds:
             (["--x", "inf"], "x must be a finite number, got inf"),
             (["--x", "1e12", "--D-K", "nan"], "D_K must be a finite number, got nan"),
             (["--x", "1e12", "--Q-cal", "inf"], "Qcal must be a finite number, got inf"),
+            (["--x", "1e12", "--beta1", "0.5"], "beta1 must lie in (1/2, 1)"),
+            (["--x", "1e12", "--beta1", "0.9", "--theta1", "0"],
+             "theta1 = 0 exactly when beta1 is absent"),
+            (["--x", "1e12", "--beta1", "0.9", "--theta1", "2"], "theta1 must be -1, 0 or +1"),
         ],
-        ids=["n-K-zero", "x-nan", "x-inf", "D-K-nan", "Q-cal-inf"],
+        ids=["n-K-zero", "x-nan", "x-inf", "D-K-nan", "Q-cal-inf", "beta1-half", "theta1-zero",
+             "theta1-two"],
     )
     def test_bad_input_rejected(self, capsys, argv, message):
         assert main(["bounds", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("theta1", ["-1", "1"])
+    def test_theta1_without_beta1_rejected(self, capsys, theta1):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--x", "1e12", "--theta1", theta1])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: cdtlab bounds: --theta1 needs --beta1"]
 
 
 class TestExperiment:

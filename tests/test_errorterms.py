@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -10,31 +12,25 @@ def model_with_Q(Q: float, n_K: int, **kw) -> et.ErrorModel:
     return et.ErrorModel(D_K=Q / n_K**n_K, n_K=n_K, Qcal=1.0, **kw)
 
 
-class TestSiegelData:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            et.SiegelData(beta1=0.9, theta1=0)
-        with pytest.raises(ValueError):
-            et.SiegelData(beta1=None, theta1=1)
-        with pytest.raises(ValueError):
-            et.SiegelData(beta1=0.4, theta1=1)
-        with pytest.raises(ValueError):
-            et.SiegelData(beta1=0.9, theta1=2)
-
-    def test_lambda1(self):
-        s = et.SiegelData(beta1=0.999, theta1=1)
-        assert s.lambda1(10.0) == pytest.approx(0.01)
-
-
 class TestModel:
     def test_Q(self):
         m = et.ErrorModel(D_K=23.0, Qcal=2.0, n_K=2)
         assert m.Q == pytest.approx(23 * 2 * 4)
 
-    def test_with_siegel(self):
-        m = et.ErrorModel().with_siegel(0.99)
-        assert m.siegel.exists and m.siegel.theta1 == 1
-        assert not m.with_siegel(None).siegel.exists
+    def test_zero_validation(self):
+        for beta1, theta1, message in (
+            (0.9, 0, "theta1 = 0 exactly when beta1 is absent"),
+            (None, 1, "theta1 = 0 exactly when beta1 is absent"),
+            (0.4, 1, "beta1 must lie in (1/2, 1)"),
+            (0.9, 2, "theta1 must be -1, 0 or +1"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                et.ErrorModel(beta1=beta1, theta1=theta1)
+
+    def test_zero_fields(self):
+        m = et.ErrorModel(beta1=0.99, theta1=-1)
+        assert (m.beta1, m.theta1) == (0.99, -1)
+        assert replace(m, beta1=None, theta1=0) == et.ErrorModel()
 
 
 class TestWidths:
@@ -46,17 +42,21 @@ class TestWidths:
             et.delta_zfr(2.0, m)
 
     def test_repulsion(self):
-        m = model_with_Q(1e3, 2).with_siegel(1 - 1e-6)
+        m = model_with_Q(1e3, 2, beta1=1 - 1e-6, theta1=1)
         t = 10.0
         logQt = m.log_Q + 2 * math.log(t)
         expect = min(0.5, math.log(1 / (1e-6 * logQt)) / logQt)
         assert et.delta_repulsion(t, m) == pytest.approx(expect)
         # wide zero: no repulsion gain
-        m2 = model_with_Q(1e3, 2).with_siegel(0.51)
+        m2 = model_with_Q(1e3, 2, beta1=0.51, theta1=1)
         assert et.delta_repulsion(1e6, m2) == 0.0
 
+    def test_repulsion_needs_a_zero(self):
+        with pytest.raises(et.ConfigurationError, match="requires an exceptional zero"):
+            et.delta_repulsion(10.0, model_with_Q(1e3, 2))
+
     def test_combined(self):
-        m = model_with_Q(1e3, 2).with_siegel(1 - 1e-9)
+        m = model_with_Q(1e3, 2, beta1=1 - 1e-9, theta1=1)
         assert et.combined_delta(10.0, m) >= et.delta_zfr(10.0, m)
 
 
@@ -64,22 +64,25 @@ class TestFactors:
     def test_B1(self):
         m = model_with_Q(1e3, 2)
         assert et.B1(100.0, m) == 1.0
-        m = m.with_siegel(1 - 1e-6)
+        m = replace(m, beta1=1 - 1e-6, theta1=1)
         assert et.B1(3.0, m) == pytest.approx(1e-6 * (m.log_Q + 2 * math.log(3.0)))
         # a wide zero saturates the minimum at 1
-        wide = model_with_Q(1e3, 2).with_siegel(0.6)
+        wide = model_with_Q(1e3, 2, beta1=0.6, theta1=1)
         assert et.B1(100.0, wide) == 1.0
 
     def test_nu1(self):
         m = model_with_Q(1e3, 2)
         assert et.nu1(m) == 1.0
-        m = m.with_siegel(0.999)
+        m = replace(m, beta1=0.999, theta1=1)
         assert et.nu1(m) == pytest.approx(0.001 * m.log_Q)
+        # lambda1 = (1 - beta1) log Q, here with log Q = 10
+        lam = et.ErrorModel(D_K=math.e**10 / 4, beta1=0.999, theta1=-1)
+        assert et.nu1(lam) == pytest.approx(0.01)
 
     def test_stark_floor_warns(self):
         m = model_with_Q(1e3, 2)
         assert et.stark_floor(m) == pytest.approx(1e-6)
-        bad = m.with_siegel(1 - 1e-9)  # lambda1 ~ 7e-9 < 1e-6
+        bad = replace(m, beta1=1 - 1e-9, theta1=1)  # lambda1 ~ 7e-9 < 1e-6
         with pytest.warns(UserWarning):
             et.stark_floor(bad)
 
@@ -124,14 +127,14 @@ class TestClosedForms:
         m = model_with_Q(30.0, 2)
         x = 1e60
         # lambda1 above the threshold Q^(-10): regime 2
-        m2 = m.with_siegel(1 - 0.001 / m.log_Q)
+        m2 = replace(m, beta1=1 - 0.001 / m.log_Q, theta1=1)
         out2 = et.siegel_error(x, m2)
         assert out2["regime"] == 2
         assert out2["selected"] == out2["value_regime2"]
         # lambda1 below the threshold: regime 3
         beta_tiny = 1 - 4.5e-16
-        m3 = m.with_siegel(beta_tiny)
-        assert m3.siegel.lambda1(m.log_Q) < out2["threshold"]
+        m3 = replace(m, beta1=beta_tiny, theta1=1)
+        assert et.nu1(m3) < out2["threshold"]
         out3 = et.siegel_error(x, m3)
         assert out3["regime"] == 3
         assert out3["selected"] == out3["value_regime3"]
@@ -143,10 +146,10 @@ class TestClosedForms:
         m = model_with_Q(1e3, 2)
         with pytest.raises(et.ConfigurationError):
             et.siegel_error(1e40, m)  # no data
-        big = m.with_siegel(0.9)  # lambda1 too large
+        big = replace(m, beta1=0.9, theta1=1)  # lambda1 too large
         with pytest.raises(et.ConfigurationError):
             et.siegel_error(1e40, big)
-        small_x = m.with_siegel(1 - 0.001 / m.log_Q)
+        small_x = replace(m, beta1=1 - 0.001 / m.log_Q, theta1=1)
         with pytest.raises(et.ConfigurationError):
             et.siegel_error(1e40, small_x)  # Q = 1e3 > x^(1/36)
 
@@ -162,18 +165,18 @@ class TestMainTermFloor:
         out = et.main_term_floor(x, m)
         assert out["case"] == "no_zero" and out["actual"] == x
         # theta1 = +1, lambda(x) < 1: tight case, implied constant near 1
-        m1 = m.with_siegel(1 - 0.01 / math.log(x), 1)
+        m1 = replace(m, beta1=1 - 0.01 / math.log(x), theta1=1)
         out1 = et.main_term_floor(x, m1)
         assert out1["case"] == "small_lambda"
         assert 0.5 <= out1["implied_constant"] <= 2.0
         assert out1["floor"] == pytest.approx(et.nu1(m1) * x)
         # theta1 = +1, lambda(x) >= 1
-        m2 = m.with_siegel(1 - 2.0 / math.log(x), 1)
+        m2 = replace(m, beta1=1 - 2.0 / math.log(x), theta1=1)
         out2 = et.main_term_floor(x, m2)
         assert out2["case"] == "large_lambda"
         assert out2["implied_constant"] >= 1.0
         # theta1 = -1: main term enlarged beyond x
-        m3 = m.with_siegel(1 - 0.5 / math.log(x), -1)
+        m3 = replace(m, beta1=1 - 0.5 / math.log(x), theta1=-1)
         out3 = et.main_term_floor(x, m3)
         assert out3["case"] == "negative_theta1"
         assert out3["actual"] > x
