@@ -75,6 +75,8 @@ class TestFactors:
         assert et.nu1(m) == 1.0
         m = replace(m, beta1=0.999, theta1=1)
         assert et.nu1(m) == pytest.approx(0.001 * m.log_Q)
+
+    def test_lambda1_via_nu1(self):
         # lambda1 = (1 - beta1) log Q, here with log Q = 10
         lam = et.ErrorModel(D_K=math.e**10 / 4, beta1=0.999, theta1=-1)
         assert et.nu1(lam) == pytest.approx(0.01)
