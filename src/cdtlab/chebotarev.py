@@ -18,8 +18,9 @@ when the form properly represents it, f(u, v) = p^j with gcd(u, v) = 1,
 since the only primitive ideals of norm p^j are the j-th powers of the
 two ideals above p (Cox, Primes of the Form x^2+ny^2, 2-3 and
 Theorem 7.7; Cohen, Computational Algebraic Number Theory, 5.2).  They
-are read off one lattice pass over the class's own form; the inert
-squares, all in the principal class, are added by hand.  pi_class_scan
+are read off one lattice pass over the class's own form, from a mark
+table that also holds the powers of the inert primes (p), all in the
+principal class; one read-out gives every event in order.  pi_class_scan
 walks every prime p <= x, 2 and the ramified primes included, as an
 independent slow count that equals the lattice count exactly; it labels
 each prime by quadforms.prime_to_class, the class of the forms that
@@ -312,76 +313,72 @@ def equidistribution_report(D: int, x: float, workers: int = 1) -> dict:
 # prime-power bookkeeping: psi_C and the bridge back to pi_C
 
 
-def psi_events(target: Form, bound: float) -> list[tuple[int, float, bool]]:
-    """All prime-power events (norm, log-weight, is_prime_ideal) for the
-    class of `target` with norm <= bound, sorted by norm.
+def psi_events(target: Form, bound: float) -> np.ndarray:
+    """The prime-power events of the class of `target` with norm <= bound,
+    as a k x 2 int64 array of rows (n, q) sorted by n.  A row is the
+    power of norm n of a prime ideal of norm q: it weighs log q and is a
+    prime ideal exactly when n == q.
 
-    Split p: the two conjugate ideals contribute their powers with weight
-    log p each.  The only primitive ideals of norm p^j are the j-th powers
-    of the two ideals above p, and a form properly represents m exactly
-    when its class holds a primitive ideal of norm m (Cox, Primes of the
-    Form x^2+ny^2, 2-3 and Theorem 7.7; Cohen, Computational Algebraic
-    Number Theory, 5.2).  So the split events of the class are the values
+    Split p: the two conjugate ideals contribute their powers, q = p.
+    The only primitive ideals of norm p^j are the j-th powers of the two
+    ideals above p, and a form properly represents m exactly when its
+    class holds a primitive ideal of norm m (Cox, Primes of the Form
+    x^2+ny^2, 2-3 and Theorem 7.7; Cohen, Computational Algebraic Number
+    Theory, 5.2).  So the split events of the class are the values
     f(u, v) = p^j of `target` with gcd(u, v) = 1, read off one lattice
     pass; when `target` is its own inverse both conjugate powers lie in
-    its class and the event counts twice.  Inert p: the ideal (p) has
-    norm p^2, lies in the principal class, and its powers carry weight
-    2 log p; no form properly represents them.  Ramified primes and the
-    primes dividing the conductor are left out; at the scales handled
-    here their contribution is below every tolerance in use.
+    its class and the row appears twice.  Inert p: the ideal (p) has
+    norm q = p^2 and lies in the principal class; no form properly
+    represents its powers.  Ramified primes and the primes dividing the
+    conductor are left out; at the scales handled here their
+    contribution is below every tolerance in use.
     """
     check_finite(bound)
     target = reduce_form(target)
     D = target.discriminant
-    bound = int(bound)
-    root = math.isqrt(bound)
+    principal = target == reduce_form(principal_form(D))
+    bound = max(int(bound), 0)
     flags = prime_table(bound).flags
-    small = np.flatnonzero(flags[: root + 1]).tolist()
-    # mark 1: a prime power p^j <= bound, j >= 1, of the prime base.get(n, n);
-    # 2: one that `target` properly represents
+    # mark 1: a power p^j <= bound, j >= 1, of a prime ideal of norm
+    # base.get(n, n) = p; 2: one that `target` properly represents;
+    # 3: in the principal class, a power of an inert (p), base[n] = p^2
     mark = flags[: bound + 1].astype(np.uint8)
     base = {}
-    for p in small:
+    for p in np.flatnonzero(flags[: math.isqrt(bound) + 1]).tolist():
+        q, m = p, 1
+        if kronecker(D, p) == -1:
+            q, m = p * p, 3 if principal else 0
         n = p * p
         while n <= bound:
-            mark[n] = 1
-            base[n] = p
-            n *= p
+            mark[n], base[n] = m, q
+            n *= q
 
-    # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value
+    # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value;
+    # an inert power is never properly represented and keeps its mark 3
     for U, V, N in represented_blocks(target, bound, 0):
         hit = np.flatnonzero(mark[N])
         mark[N[hit[np.gcd(U[hit], V[hit]) == 1]]] = 2
-    events: list[tuple[int, float, bool]] = []
-    for n in np.flatnonzero(mark == 2).tolist():
-        p = base.get(n, n)
-        if D % p:
-            events.append((n, math.log(p), n == p))
-    if inverse_form(target) == target:
-        events *= 2
-    if target == reduce_form(principal_form(D)):
-        for p in small:
-            if kronecker(D, p) == -1:
-                n = p * p
-                while n <= bound:
-                    events.append((n, 2 * math.log(p), n == p * p))
-                    n *= p * p
-    events.sort(key=lambda e: e[0])
-    return events
+    n = np.flatnonzero(mark >= 2)
+    rows = np.column_stack((n, n))
+    power = np.flatnonzero(~flags[n])
+    rows[power, 1] = [base[k] for k in n[power].tolist()]
+    rows = rows[D % rows[:, 1] != 0]
+    twice = inverse_form(target) == target
+    return np.repeat(rows, 1 + (twice & (mark[rows[:, 0]] == 2)), axis=0)
 
 
 def psi_class(target: Form, x: float) -> float:
-    """psi_C(x): the log-weights of the prime-power events of the class
-    of `target` with norm <= x, summed exactly (math.fsum)."""
-    return math.fsum(w for _, w, _ in psi_events(target, x))
+    """psi_C(x): log q over the events (n, q) of the class of `target`
+    with n <= x, summed exactly (math.fsum)."""
+    return math.fsum(map(math.log, psi_events(target, x)[:, 1].tolist()))
 
 
 def psi_class_smooth(target: Form, params: WeightParams) -> float:
     """psi_C weighted by f(log n / log x); support reaches slightly past x."""
     weight = WeightFunction(params)
     hi = math.exp(params.log_x * weight.support[1])
-    events = psi_events(target, math.ceil(hi))
-    return math.fsum(w * weight(math.log(n) / params.log_x) for n, w, _ in events)
+    events = psi_events(target, math.ceil(hi)).tolist()
+    return math.fsum(math.log(q) * weight(math.log(n) / params.log_x) for n, q in events)
 
 
 def main_term(x: float, h: int, model: ErrorModel | None = None) -> float:
@@ -399,20 +396,22 @@ def bridge_check(target: Form, x: float) -> dict:
     """Partial-summation bridge pi_C(x) ~ psi_C(x)/log x
     + int_sqrt(x)^x psi_C(t) dt/(t log^2 t).
 
-    pi_C(x), psi_C(x) and the integral are all read off one event list
-    of psi_events(target, x): pi_C counts its prime-ideal events, psi_C
-    sums its log-weights, and the integral of the step function psi_C is
-    a sum over the events.  Reports the smallest C with
+    pi_C(x), psi_C(x) and the integral are all read off one event table
+    psi_events(target, x): pi_C counts its rows with n == q, psi_C sums
+    their weights log q, and the integral of the step function psi_C is
+    a sum over the rows.  Reports the smallest C with
     |difference| <= C sqrt(x)/log x."""
     if x < 100:
         raise ValueError("bridge_check requires x >= 100")
     events = psi_events(target, x)
     logx = math.log(x)
     sqrtx = math.sqrt(x)
-    pi_val = sum(1 for _, _, first in events if first)
-    psi_val = math.fsum(w for _, w, _ in events)
+    n, q = events.T.tolist()
+    w = list(map(math.log, q))
+    pi_val = int(np.count_nonzero(events[:, 0] == events[:, 1]))
+    psi_val = math.fsum(w)
     integral = math.fsum(
-        w * (1 / math.log(max(sqrtx, n)) - 1 / logx) for n, w, _ in events
+        wk * (1 / math.log(max(sqrtx, nk)) - 1 / logx) for nk, wk in zip(n, w)
     )
     rhs = psi_val / logx + integral
     diff = abs(pi_val - rhs)

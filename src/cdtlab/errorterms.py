@@ -100,6 +100,15 @@ def _log_QT(t: float, m: ErrorModel) -> float:
     return m.log_Q + m.n_K * math.log(t)
 
 
+def _below(x: float, k: float, m: ErrorModel) -> bool:
+    """x < Q^k.  A Q^k past the float range exceeds every float x.  In
+    logs, x = Q^k itself could fall below by a rounding."""
+    try:
+        return x < m.Q**k
+    except OverflowError:
+        return True
+
+
 def delta_zfr(t: float, m: ErrorModel) -> float:
     """Classical zero-free-region width c_ZFR / log(Q t^n_K) at height t."""
     if t < 3:
@@ -198,7 +207,7 @@ def thm11_error(x: float, m: ErrorModel) -> float:
     """Relative error of the asymptotic theorem in its stated range
     x >= Q^c_1, with constants c_ZFR/4 and c_ZFR/8 inherited from the
     unsmoothing step."""
-    if x < m.Q**m.c_1:
+    if _below(x, m.c_1, m):
         raise ConfigurationError(f"thm11_error requires x >= Q^{m.c_1}")
     logx = math.log(x)
     return math.exp(-m.c_ZFR / 4 * logx / m.log_Q) + math.exp(
@@ -224,7 +233,7 @@ def siegel_error(x: float, m: ErrorModel) -> dict:
         raise ConfigurationError(
             f"lambda1 = {lam:.3g} exceeds the smallness threshold {m.c_SZ_lambda}"
         )
-    if m.Q > x ** (1 / m.c_SZ_size):
+    if _below(x, m.c_SZ_size, m):
         raise ConfigurationError(f"requires Q <= x^(1/{m.c_SZ_size})")
     logx = math.log(x)
     tail = math.exp(-m.c_DH * logx / (2 * m.log_Q)) + math.exp(
@@ -255,7 +264,7 @@ def main_term_floor(x: float, m: ErrorModel) -> dict:
     actual main term, the case-specific comparison quantity, and the
     implied constants, so a caller can assert they are bounded.
     """
-    if x < m.Q ** (36 * m.c_ZDE):
+    if _below(x, 36 * m.c_ZDE, m):
         raise ConfigurationError("main_term_floor requires x >= Q^(36 c_ZDE)")
     floor = nu1(m) * x
     if m.beta1 is None:

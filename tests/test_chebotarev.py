@@ -213,7 +213,7 @@ prime_class = functools.lru_cache(maxsize=None)(qf.prime_to_class)
 def walk_psi_events(target, bound):
     """Reference for psi_events: every prime p <= bound walked one by one,
     split primes placed in their class by prime_to_class and their powers
-    by compose, an independent route to the same events."""
+    by compose, an independent route to the same (n, q) rows."""
     target = qf.reduce_form(target)
     D = target.discriminant
     bound = int(bound)
@@ -221,29 +221,27 @@ def walk_psi_events(target, bound):
     events = []
 
     def split_events(p, g):
-        logp = math.log(p)
         ginv = qf.inverse_form(g)
         cur, curinv = g, ginv
-        n, j = p, 1
+        n = p
         while n <= bound:
             if cur == target:
-                events.append((n, logp, j == 1))
+                events.append([n, p])
             if curinv == target:
-                events.append((n, logp, j == 1))
-            j += 1
+                events.append([n, p])
             n *= p
             if n <= bound:
                 cur = qf.compose(cur, g)
                 curinv = qf.compose(curinv, ginv)
 
-    for p in primes_up_to(bound).primes().tolist():
+    for p in primes_up_to(max(bound, 2)).primes().tolist():
         if p == 2:
             if D % 8 == 1:
                 split_events(2, qf.reduce_form(qf.Form(2, 1, (1 - D) // 8)))
             elif D % 2 == 1 and principal == target:
                 n = 4
                 while n <= bound:
-                    events.append((n, 2 * math.log(2), n == 4))
+                    events.append([n, 4])
                     n *= 4
             continue
         if D % p == 0:
@@ -254,15 +252,15 @@ def walk_psi_events(target, bound):
         elif principal == target:
             n = p * p
             while n <= bound:
-                events.append((n, 2 * math.log(p), n == p * p))
+                events.append([n, p * p])
                 n *= p * p
-    events.sort(key=lambda e: e[0])
-    return events
+    return sorted(events)
 
 
 class TestPsi:
     # D = -71 at x = 20: (4, +-3, 5) meets the prime 5 only at u = 0;
-    # the second row is non-fundamental, with primes dividing the conductor
+    # the second row is non-fundamental, with primes dividing the conductor;
+    # x = -5 has no event
     @pytest.mark.parametrize(
         "D",
         [-3, -4, -15, -23, -31, -47, -71, -92]
@@ -270,8 +268,12 @@ class TestPsi:
     )
     def test_events_equal_walk(self, D):
         for f in qf.class_representatives(D).representatives:
-            for x in (20, 100, 1000, 12345, 1e5):
-                assert ch.psi_events(f, x) == walk_psi_events(f, x), (tuple(f), x)
+            for x in (-5, 20, 100, 1000, 12345, 1e5):
+                events = ch.psi_events(f, x)
+                assert events.dtype == np.int64 and events.shape == (len(events), 2)
+                assert (np.diff(events[:, 0]) >= 0).all()
+                assert events.tolist() == walk_psi_events(f, x), (tuple(f), x)
+            assert ch.psi_class(f, -5) == 0.0
 
     def test_principal_gauss_oracle(self):
         # independent bookkeeping for D = -4 via the splitting of
@@ -307,7 +309,7 @@ class TestPsi:
         D = -23
         x = 2000
         cl = qf.class_representatives(D)
-        events = {f: ch.psi_events(f, x) for f in cl.representatives}
+        events = {f: ch.psi_events(f, x).tolist() for f in cl.representatives}
         for p in range(3, x):
             if not is_prime(p) or D % p == 0:
                 continue
@@ -315,7 +317,7 @@ class TestPsi:
             if g is None:
                 continue
             for f in cl.representatives:
-                hits = sum(1 for n, _, first in events[f] if first and n == p)
+                hits = events[f].count([p, p])
                 expected = (g == f) + (qf.inverse_form(g) == f)
                 assert hits == expected, (p, tuple(f))
 
@@ -324,10 +326,10 @@ class TestPsi:
         principal = qf.Form(1, 1, 6)
         other = qf.Form(2, 1, 3)
         # 5 is inert in Q(sqrt(-23)); 25 must appear only for the
-        # principal class with weight 2 log 5
-        ev_p = [e for e in ch.psi_events(principal, 100) if e[0] == 25]
-        ev_o = [e for e in ch.psi_events(other, 100) if e[0] == 25]
-        assert ev_p == [(25, pytest.approx(2 * math.log(5)), True)]
+        # principal class, as the prime ideal (5) of norm 25, weight 2 log 5
+        ev_p = [e for e in ch.psi_events(principal, 100).tolist() if e[0] == 25]
+        ev_o = [e for e in ch.psi_events(other, 100).tolist() if e[0] == 25]
+        assert ev_p == [[25, 25]]
         assert ev_o == []
 
     def test_smooth_bracket(self):

@@ -31,6 +31,16 @@ class TestClassnum:
         code, _ = run(capsys, "classnum", "-6")
         assert code == 2
 
+    def test_enumeration_limit(self, capsys):
+        # D = -3 (10^9 + 7)^2 is refused before its forms are enumerated
+        assert main(["classnum", "-3", "--conductor", "1000000007"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: class enumeration of D = -3000000042000000147 exceeds the limit"
+            " |D| <= 10000000000"
+        ]
+
 
 class TestCount:
     def test_form_count(self, capsys):
@@ -241,6 +251,13 @@ class TestBounds:
         assert code == 0
         data = json.loads(out)
         assert data["eta"] > 0 and data["B1"] == 1.0
+
+    def test_range_past_float(self, capsys):
+        # Q^40 = (4e8)^40 is no float: it lies above every float x
+        code, out = run(capsys, "bounds", "--x", "1e12", "--D-K", "1e8")
+        assert code == 0
+        data = json.loads(out)
+        assert data["thm11_error"] == "out of range: thm11_error requires x >= Q^40.0"
 
     def test_siegel_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

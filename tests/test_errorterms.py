@@ -189,6 +189,11 @@ class TestMainTermFloor:
         with pytest.raises(et.ConfigurationError):
             et.main_term_floor(1e10, m)
 
+    def test_range_past_float(self):
+        # Q^(36 c_ZDE) = 12^360 is no float: it lies above every float x
+        with pytest.raises(et.ConfigurationError, match=r"requires x >= Q\^\(36 c_ZDE\)"):
+            et.main_term_floor(1e300, et.ErrorModel())
+
 
 class TestRemainders:
     def test_eps_shape(self):
