@@ -6,8 +6,9 @@ lattice points with prime value, taken by a single kernel: they differ
 only in residue tables built from gcds with the sieving modulus.  The
 kernel walks half the plane against a cached sieve table, in numpy
 blocks, in strips across forked worker processes when the estimated
-number of points pays for the fork.  It owns a wheel mod 30: it builds
-only the points whose value is prime to 30 and adds the values 2, 3
+number of points pays for the fork.  It owns a wheel mod 30 (210 for
+sieving moduli divisible by 7): it builds only the points whose value is
+prime to 30 and whose weight can be nonzero, and adds the values 2, 3
 and 5 by a pass over the tiny ellipse f(u, v) <= 5.  Dividing by the
 unit count turns a lattice total into a prime-ideal count.
 
@@ -130,18 +131,27 @@ def prime_table(limit: int) -> PrimeCache:
 # (-u, -v) weighs the same as (u, v): the pass over u >= 1 is doubled and
 # the row u = 0 added once.  The tables are read on the prime hits only.
 #
-# The kernel walks the wheel mod 30: it builds only the points whose
-# residues _wheel(f) admits, gcd(f(u, v), 30) = 1 (true at (-u, -v) as
-# at (u, v)), and a prime among them is 7 or more.  That keeps 7 to 11
-# percent of the ellipse for D = -23, -47 and -71 and 28 for u^2 + v^2;
-# W = 6 would keep 11.1 against 10.7 for D = -23 and -47, and 44 for
-# u^2 + v^2.  The points of value 2, 3 or 5 come from a second pass over
-# the whole (tiny) ellipse f(u, v) <= min(x, 5), by the same tables.
+# The kernel walks a wheel: it builds only the points whose residues
+# _wheel(f) admits, gcd(f(u, v), 30) = 1 (true at (-u, -v) as at (u, v)),
+# and a prime among them is 7 or more.  That keeps 7 to 11 percent of the
+# ellipse for D = -23, -47 and -71 and 28 for u^2 + v^2; W = 6 would keep
+# 11.1 against 10.7 for D = -23 and -47, and 44 for u^2 + v^2.  The points
+# of value 2, 3 or 5 come from a second pass over the whole (tiny) ellipse
+# f(u, v) <= min(x, 5), by the same tables.
+#
+# _admissible also drops the points the coordinate tables weigh 0.  Its
+# wheel is mod W = lcm(30, gcd(m, 210)): 210 when 7 | m, else 30 (11 and
+# 13 would need a 30030^2 table).  A row residue u0 mod W goes when w_u
+# vanishes on every r = u0 (mod gcd(m, W)), a column v0 likewise by w_v.
+# Only points of weight 0 go, whatever the tables hold, and tables that
+# depend on their residue through a gcd keep the symmetry the doubling
+# needs.  For (1, 0, 1) with P = 15015 the table keeps 1/2 * 1/2 * 36/49
+# = 18.4 percent of the wheel's points; with m = 1 it equals _wheel(f).
 #
 # The pass over u >= 1 forks only when it pays.  With more than one
 # worker its points are estimated before any is built: the half-ellipse
-# has area pi x / sqrt|D|, and the wheel keeps the share of its table
-# that is true (698,739 for (1, 1, 6) at 1e7, against 698,783 built).
+# has area pi x / sqrt|D|, and the table keeps the share of it that is
+# true (698,739 for (1, 1, 6) at 1e7, against 698,783 built).
 # The pool gets one process per _FORK_POINTS estimated points, at most
 # `workers` and at most the CPUs this process may run on; with one, the
 # pass is the serial walk.  A forked pass is cut into strips that depend
@@ -178,6 +188,17 @@ def _wheel(f: Form) -> np.ndarray:
     table = np.gcd(a * u0 * u0 + b * u0 * r + c * r * r, _WHEEL) == 1
     table.setflags(write=False)
     return table
+
+
+def _admissible(f: Form, w_u: np.ndarray, w_v: np.ndarray) -> np.ndarray:
+    """_wheel(f) tiled mod W, less the residues that w_u or w_v weigh 0."""
+    m = len(w_u)
+    W = math.lcm(_WHEEL, math.gcd(m, 7 * _WHEEL))
+    g = math.gcd(m, W)
+    r = np.arange(W) % g
+    rows = (w_u.reshape(-1, g) != 0).any(axis=0)[r]
+    cols = (w_v.reshape(-1, g) != 0).any(axis=0)[r]
+    return np.tile(_wheel(f), (W // _WHEEL, W // _WHEEL)) & rows[:, None] & cols
 
 
 def _run_strip(u_lo: int, u_hi: int) -> int:
@@ -217,7 +238,7 @@ def _lattice_sum(
     x = int(x)
     flags = prime_table(x).flags
     k, m = len(n_ok), len(w_u)
-    wheel = _wheel(f)
+    wheel = _admissible(f, w_u, w_v)
 
     def weigh(blocks) -> int:
         total = 0
@@ -296,13 +317,18 @@ def _li_above_2(x: float) -> float:
 
 
 def equidistribution_report(D: int, x: float, workers: int = 1) -> dict:
-    """Per-class prime-ideal counts against the common target Li(x)/h."""
+    """Per-class prime-ideal counts against the common target Li(x)/h.
+    A class and its inverse share one lattice pass: f(u, -v) carries the
+    values of (a, b, c) to those of (a, -b, c)."""
     cl = class_representatives(D)
     expected = _li_above_2(x) / cl.h
     rows = []
     worst = 0.0
+    counts = {}
     for f in cl.representatives:
-        count = pi_class(f, x, workers)
+        count = counts.get(inverse_form(f))
+        if count is None:
+            count = counts[f] = pi_class(f, x, workers)
         rel = abs(count - expected) / expected
         worst = max(worst, rel)
         rows.append({"form": list(f), "count": count, "expected": expected, "rel_error": rel})

@@ -153,15 +153,17 @@ def _cmd_bounds(args) -> int:
         "nu1": errorterms.nu1(model),
         "stark_floor": errorterms.stark_floor(model),
     }
-    try:
-        out["thm11_error"] = errorterms.thm11_error(args.x, model)
-    except errorterms.ConfigurationError as exc:
-        out["thm11_error"] = f"out of range: {exc}"
+    bounds = [
+        ("thm11_error", errorterms.thm11_error),
+        ("main_term_floor", errorterms.main_term_floor),
+    ]
     if model.beta1 is not None:
+        bounds.append(("siegel", errorterms.siegel_error))
+    for key, bound in bounds:
         try:
-            out["siegel"] = errorterms.siegel_error(args.x, model)
+            out[key] = bound(args.x, model)
         except errorterms.ConfigurationError as exc:
-            out["siegel"] = f"out of range: {exc}"
+            out[key] = f"out of range: {exc}"
     if args.csv:
         rows = []
         x = 10.0

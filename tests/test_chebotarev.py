@@ -1,9 +1,11 @@
 import bisect
 import functools
+import json
 import math
 import struct
 import tracemalloc
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdtlab import chebotarev as ch
+from cdtlab import cli
 from cdtlab import densities as de
 from cdtlab import quadforms as qf
 from cdtlab.arith import PrimeCache, is_prime, li, primes_up_to
@@ -204,6 +207,20 @@ class TestCounting:
         assert sum(r["count"] for r in rep["rows"]) == pytest.approx(
             li(1e5), rel=0.02
         )
+
+    @pytest.mark.parametrize("D, passes", [(-23, 2), (-47, 3)])
+    def test_equidistribution_one_pass_per_inverse_pair(self, monkeypatch, D, passes):
+        # (a, b, c) and (a, -b, c) count the same points: (h + r)/2 passes,
+        # r the classes of order at most 2, with every row as per class
+        forms = qf.class_representatives(D).representatives
+        expected = [ch.pi_class(f, 1e5) for f in forms]
+        calls = []
+        count = ch.count_prime_points
+        monkeypatch.setattr(ch, "count_prime_points", lambda *a: calls.append(a) or count(*a))
+        rep = ch.equidistribution_report(D, 1e5)
+        assert len(calls) == passes
+        assert [r["form"] for r in rep["rows"]] == [list(f) for f in forms]
+        assert [r["count"] for r in rep["rows"]] == expected
 
 
 # the reference walk revisits the same primes for every form and bound
@@ -449,8 +466,12 @@ class TestTablesVsBruteforce:
     ]
     X = 1000
 
+    # even moduli, a modulus without 7, and W = 210 with 11 and 13 left
+    # to the gather
+    MODULI = [7, 15, 105, 2, 14, 30, 210, 1155, 15015]
+
     @pytest.mark.parametrize("f", FORMS)
-    @pytest.mark.parametrize("Pn", [7, 15, 105])
+    @pytest.mark.parametrize("Pn", MODULI)
     def test_coprime_count(self, f, Pn):
         P = de.SievingModulus.from_int(Pn)
         brute = sum(
@@ -462,7 +483,7 @@ class TestTablesVsBruteforce:
         assert rep.lhs * qf.stab_order(f.discriminant) == brute
 
     @pytest.mark.parametrize("f", FORMS)
-    @pytest.mark.parametrize("Pn", [7, 15, 105])
+    @pytest.mark.parametrize("Pn", MODULI)
     def test_theta_weighted_sum(self, f, Pn):
         P = de.SievingModulus.from_int(Pn)
         z = max(P.prime_factors) + 1.0
@@ -480,6 +501,47 @@ class TestTablesVsBruteforce:
                 if math.gcd(n, 2 * Pn) == 1
             )
             assert ch.sieved_sum_S(f, w1, w2, P, self.X)["lattice_total"] == brute
+
+    def test_sifted_table(self, monkeypatch):
+        # the table the kernel walks for (1,0,1), P = 15015: mod 210, the
+        # wheel's points with u and v prime to 3, 5 and 7, 1/2 * 1/2 * 36/49
+        # of them, and the same at (-u0, -v0); a plain count walks _wheel
+        f = qf.Form(1, 0, 1)
+        walked = []
+
+        def spy(*args, admissible=None):
+            walked.append(admissible)
+            return qf.represented_blocks(*args, admissible=admissible)
+
+        monkeypatch.setattr(ch, "represented_blocks", spy)
+        ch.theorem15_experiment(f, de.SievingModulus.from_int(15015), 1e4)
+        table = walked[0]
+        wheel = np.tile(ch._wheel(f), (7, 7))
+        assert table.shape == (210, 210) and not (table & ~wheel).any()
+        assert Fraction(int(table.sum()), int(wheel.sum())) == Fraction(9, 49)
+        neg = -np.arange(210) % 210
+        assert (table == table[np.ix_(neg, neg)]).all()
+        walked.clear()
+        ch.count_prime_points(f, 1e4)
+        assert (walked[0] == ch._wheel(f)).all()
+
+    def test_sifted_forked_pass(self, monkeypatch, capsys):
+        # about 2.4M estimated points over the mod-210 table: two workers
+        argv = ["experiment", "1", "0", "1", "--modulus", "15015", "--x", "3e7"]
+
+        def lhs(*extra):
+            assert cli.main([*argv, *extra]) == 0
+            return json.loads(capsys.readouterr().out)["lhs"]
+
+        serial = lhs()
+        forks = []
+        fork = ch.multiprocessing.get_context("fork")
+        monkeypatch.setattr(ch, "_cpus", lambda: 2)
+        monkeypatch.setattr(
+            ch.multiprocessing, "get_context", lambda method: forks.append(method) or fork
+        )
+        assert lhs("--workers", "2") == serial
+        assert forks == ["fork"]
 
 
 class TestPrimeTableCache:

@@ -258,6 +258,18 @@ class TestBounds:
         assert code == 0
         data = json.loads(out)
         assert data["thm11_error"] == "out of range: thm11_error requires x >= Q^40.0"
+        assert data["main_term_floor"] == (
+            "out of range: main_term_floor requires x >= Q^(36 c_ZDE)"
+        )
+
+    def test_theta1_reaches_output(self, capsys):
+        # Q = 4: x = 1e220 lies above Q^360, in main_term_floor's range
+        argv = ["bounds", "--x", "1e220", "--D-K", "1", "--beta1", "0.999", "--theta1"]
+        negative, positive = (run(capsys, *argv, theta1) for theta1 in ("-1", "1"))
+        assert negative[0] == positive[0] == 0
+        assert negative[1] != positive[1]
+        assert json.loads(negative[1])["main_term_floor"]["case"] == "negative_theta1"
+        assert json.loads(positive[1])["main_term_floor"]["case"] == "small_lambda"
 
     def test_siegel_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
