@@ -171,59 +171,40 @@ def primes_up_to(x: int) -> PrimeCache:
     return PrimeCache(limit=x, flags=flags)
 
 
-def _jacobi(a: int, m: int) -> int:
-    """Jacobi symbol (a/m) for odd positive m."""
-    if m <= 0 or m % 2 == 0:
-        raise ValueError("jacobi symbol needs odd positive lower argument")
-    a %= m
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if m % 8 in (3, 5):
-                result = -result
-        a, m = m, a
-        if a % 4 == 3 and m % 4 == 3:
-            result = -result
-        a %= m
-    return result if m == 1 else 0
-
-
-def _symbol_at_2(D: int) -> int:
-    if D % 2 == 0:
-        return 0
-    r = D % 8
-    if r == 1:
-        return 1
-    if r == 5:
-        return -1
-    raise ValueError(
-        f"symbol (D/2) undefined for D = {D}: discriminants satisfy D = 0, 1 (mod 4)"
-    )
-
-
 def kronecker(D: int, n: int) -> int:
     """Completely multiplicative symbol (D/n) for positive n.
 
     Agrees with the Legendre symbol at odd primes; at 2 it is 0 when
     2 | D, +1 when D = 1 (mod 8) and -1 when D = 5 (mod 8).  Values of D
     that are 3 (mod 4) are rejected when n is even, since they are not
-    discriminants of quadratic forms.
+    discriminants of quadratic forms.  Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 1.4.10.
     """
     if n <= 0:
         raise ValueError("kronecker requires positive n")
-    v2 = 0
-    while n % 2 == 0:
-        n //= 2
-        v2 += 1
     result = 1
-    if v2:
-        s2 = _symbol_at_2(D)
-        if s2 == 0:
+    if n % 2 == 0:
+        if D % 2 == 0:
             return 0
-        if v2 % 2 == 1:
-            result = s2
-    return result * _jacobi(D, n) if n > 1 else result
+        if D % 4 == 3:
+            raise ValueError(
+                f"symbol (D/2) undefined for D = {D}: discriminants satisfy D = 0, 1 (mod 4)"
+            )
+        while n % 2 == 0:
+            n //= 2
+            if D % 8 == 5:
+                result = -result
+    a = D % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def sqrt_mod(a: int, p: int) -> int | None:

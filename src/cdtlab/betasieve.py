@@ -11,7 +11,7 @@ theorem bounds can be checked as literal (in)equalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -39,7 +39,6 @@ class SieveSpec:
     kappa: float = 1.0
     K_const: float = 1.5
     support: tuple[int, ...] = ()
-    beta: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("upper", "lower"):
@@ -53,20 +52,20 @@ class SieveSpec:
                 raise ValueError(f"support entry {p} is not a prime")
         if len(set(self.support)) < len(self.support):
             raise ValueError(f"support primes must be distinct, got {self.support}")
-        if self.beta is None:
-            object.__setattr__(self, "beta", 9 * self.kappa + 1)
-        for name in ("kappa", "K_const", "beta"):
+        for name in ("kappa", "K_const"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
         if self.s < 1:
             raise ValueError("need log R / log z >= 1")
         if any(p > self.z for p in self.support):
             raise ValueError("support primes must not exceed the sifting level z")
+
+    @property
+    def beta(self) -> float:
+        return 9 * self.kappa + 1
 
     @property
     def s(self) -> float:
@@ -94,8 +93,8 @@ def beta_sieve_weights(spec: SieveSpec) -> SieveWeights:
     parity = 1 if spec.kind == "upper" else 0  # m mod 2 at which truncation binds
     lam: dict[int, int] = {1: 1}
 
-    def descend(idx: int, product: int, depth: int, prefix: int, sign: int) -> None:
-        # product = p1...p_{depth}; prefix = p1...p_{depth-1}
+    def descend(idx: int, product: int, depth: int, sign: int) -> None:
+        # product = p1...p_{depth}
         for i in range(idx, len(primes)):
             p = primes[i]
             d = product * p
@@ -105,9 +104,9 @@ def beta_sieve_weights(spec: SieveSpec) -> SieveWeights:
             if m % 2 == parity and product * p ** (spec.beta + 1) > spec.R:
                 continue
             lam[d] = -sign
-            descend(i + 1, d, m, product, -sign)
+            descend(i + 1, d, m, -sign)
 
-    descend(0, 1, 0, 1, 1)
+    descend(0, 1, 0, 1)
     return SieveWeights(kind=spec.kind, support=tuple(sorted(spec.support)), R=spec.R, lam=lam)
 
 
@@ -134,15 +133,10 @@ class DensityPair:
 
 
 def _eval_multiplicative(g: Mapping[int, Fraction], d: int) -> Fraction:
-    if d == 1:
-        return Fraction(1)
+    """g(d) for squarefree d: the product of g(p) over p | d."""
     out = Fraction(1)
-    for p, e in factorize(d):
-        if e > 1:
-            return Fraction(0)
+    for p, _ in factorize(d):
         out *= g.get(p, Fraction(0))
-        if out == 0:
-            return out
     return out
 
 
@@ -152,7 +146,7 @@ def reduced_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> F
     total = Fraction(0)
     for d1, l1 in w1.lam.items():
         gd1 = _eval_multiplicative(d.g1, d1)
-        if gd1 == 0 and d1 != 1:
+        if gd1 == 0:
             continue
         for d2, l2 in w2.lam.items():
             if math.gcd(d1, d2) != 1:
@@ -171,9 +165,6 @@ def invert_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> Fr
     reduced_composition.
     """
     support = tuple(sorted(set(w1.support) | set(w2.support)))
-    for p in support:
-        if d.g1.get(p, Fraction(0)) + d.g2.get(p, Fraction(0)) >= 1:
-            raise ValueError(f"inversion needs g'(p) + g''(p) < 1 at p = {p}")
     divs = divisors(math.prod(support))
     th1 = theta_map(w1, divs)
     th2 = theta_map(w2, divs)
@@ -181,14 +172,14 @@ def invert_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> Fr
     for b1 in divs:
         t1 = th1[b1]
         gb1 = _eval_multiplicative(d.g1, b1)
-        if b1 != 1 and (t1 == 0 or gb1 == 0):
+        if t1 == 0 or gb1 == 0:
             continue
         for b2 in divs:
             if math.gcd(b1, b2) != 1:
                 continue
             t2 = th2[b2]
             gb2 = _eval_multiplicative(d.g2, b2)
-            if (t2 == 0 or gb2 == 0) and b2 != 1:
+            if t2 == 0 or gb2 == 0:
                 continue
             rest = Fraction(1)
             for p in support:
@@ -227,28 +218,8 @@ class CompositionReport:
     product: Fraction
     upper_bound: float | None
     lower_bound: float | None
-    fundamental_sums: dict = field(default_factory=dict)
-    ok: bool = True
-
-
-def _dimension_K(spec: SieveSpec, d: DensityPair) -> float:
-    """Smallest K making the sieve dimension condition hold for (kappa, z):
-
-        prod_{w <= p < z} (1 - h~(p))^{-1} <= K (log z / log w)^kappa
-
-    checked at every w in {2} union support, for both densities."""
-    h1, h2, _, _ = tilde_transforms(d)
-    worst = 1.0
-    checkpoints = sorted({2.0, *(float(p) for p in spec.support if p < spec.z)})
-    for h in (h1, h2):
-        for w in checkpoints:
-            prod = 1.0
-            for p in spec.support:
-                if w <= p < spec.z:
-                    prod /= 1.0 - float(h.get(p, Fraction(0)))
-            ratio = prod / (math.log(spec.z) / math.log(w)) ** spec.kappa
-            worst = max(worst, ratio)
-    return worst
+    fundamental_sums: dict
+    ok: bool
 
 
 def composition_bounds_check(
@@ -259,7 +230,11 @@ def composition_bounds_check(
     upper/upper:  G <= prod(1 - g' - g'') * (1 + e^{9k - s} K^10)^2
     lower/upper:  G >= prod(1 - g' - g'') * (1 - e^{9k - s} K^10)
     Also evaluates the Fundamental-Lemma sums sum_b theta_b h~(b).
+    The hypotheses are checked over the union of both supports.
     """
+    kinds = (spec1.kind, spec2.kind)
+    if kinds not in (("upper", "upper"), ("lower", "upper")):
+        raise ValueError(f"unsupported kind combination {kinds}")
     if spec1.z != spec2.z or spec1.R != spec2.R:
         raise ValueError("both sieves must share z and R")
     s = spec1.s
@@ -270,7 +245,22 @@ def composition_bounds_check(
             f"hypothesis s > 9*kappa + 1 + 10*log K fails: s = {s:.3f}, "
             f"kappa = {kappa}, K = {K}"
         )
-    smallest_K = _dimension_K(spec1, d)
+    support = tuple(sorted(set(spec1.support) | set(spec2.support)))
+    h1, h2, _, _ = tilde_transforms(d)
+    # smallest K with the sieve dimension condition for (kappa, z) at every
+    # w in {2} union support, for both densities:
+    #     prod_{w <= p < z} (1 - h~(p))^{-1} <= K (log z / log w)^kappa
+    z = spec1.z
+    smallest_K = 1.0
+    checkpoints = sorted({2.0, *(float(p) for p in support if p < z)})
+    for h in (h1, h2):
+        for w in checkpoints:
+            prod = 1.0
+            for p in support:
+                if w <= p < z:
+                    prod /= 1.0 - float(h.get(p, Fraction(0)))
+            ratio = prod / (math.log(z) / math.log(w)) ** kappa
+            smallest_K = max(smallest_K, ratio)
     if smallest_K > K:
         raise ValueError(
             f"sieve dimension condition fails for K = {K}: needs K >= {smallest_K:.6f}"
@@ -279,37 +269,32 @@ def composition_bounds_check(
     w1 = beta_sieve_weights(spec1)
     w2 = beta_sieve_weights(spec2)
     G = reduced_composition(w1, w2, d)
-    support = tuple(sorted(set(spec1.support) | set(spec2.support)))
     product = Fraction(1)
     for p in support:
         product *= 1 - d.g1.get(p, Fraction(0)) - d.g2.get(p, Fraction(0))
     err = math.exp(9 * kappa - s) * K**10
 
-    h1, h2, _, _ = tilde_transforms(d)
     divs = divisors(math.prod(support))
     th1 = theta_map(w1, divs)
     th2 = theta_map(w2, divs)
     fsum1 = sum((th1[b] * _eval_multiplicative(h1, b) for b in divs), Fraction(0))
     fsum2 = sum((th2[b] * _eval_multiplicative(h2, b) for b in divs), Fraction(0))
 
-    report = CompositionReport(
+    if kinds == ("upper", "upper"):
+        upper, lower = float(product) * (1 + err) ** 2, None
+        ok = float(G) <= upper + 1e-15
+    else:
+        upper, lower = None, float(product) * (1 - err)
+        ok = float(G) >= lower - 1e-15
+    return CompositionReport(
         s=s,
         kappa=kappa,
         K_const=K,
         smallest_K=smallest_K,
         G=G,
         product=product,
-        upper_bound=None,
-        lower_bound=None,
+        upper_bound=upper,
+        lower_bound=lower,
         fundamental_sums={"theta1_h1": fsum1, "theta2_h2": fsum2},
+        ok=ok,
     )
-    kinds = (spec1.kind, spec2.kind)
-    if kinds == ("upper", "upper"):
-        report.upper_bound = float(product) * (1 + err) ** 2
-        report.ok = float(G) <= report.upper_bound + 1e-15
-    elif kinds == ("lower", "upper"):
-        report.lower_bound = float(product) * (1 - err)
-        report.ok = float(G) >= report.lower_bound - 1e-15
-    else:
-        raise ValueError(f"unsupported kind combination {kinds}")
-    return report

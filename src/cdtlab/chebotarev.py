@@ -297,6 +297,7 @@ def pi_class_scan(target: Form, x: float) -> int:
     the one.  This count equals pi_class exactly: the lattice path
     reaches the same ideals through the values of the form.
     """
+    check_finite(x)
     target = reduce_form(target)
     D = target.discriminant
     flags = prime_table(int(x)).flags
@@ -425,7 +426,9 @@ def bridge_check(target: Form, x: float) -> dict:
     pi_C(x), psi_C(x) and the integral are all read off one event table
     psi_events(target, x): pi_C counts its rows with n == q, psi_C sums
     their weights log q, and the integral of the step function psi_C is
-    a sum over the rows.  Reports the smallest C with
+    a sum over the rows.  Unlike pi_class, this pi_C counts the inert
+    prime ideals (p) with p^2 <= x, all in the principal class, and
+    leaves out the ramified primes.  Reports the smallest C with
     |difference| <= C sqrt(x)/log x."""
     if x < 100:
         raise ValueError("bridge_check requires x >= 100")
@@ -490,6 +493,8 @@ def congruence_sum_predicted(
 ) -> dict:
     """Predicted value g'(d1) g''(d2) Li(x)/h with an optional error
     budget from the remainder calculus."""
+    if P.P % d1 or P.P % d2:
+        raise ValueError(f"d1 = {d1} and d2 = {d2} must divide P = {P.P}")
     f = reduce_form(f)
     h = class_representatives(f.discriminant).h
     dens = Fraction(1)

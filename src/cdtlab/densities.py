@@ -27,14 +27,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SievingModulus:
-    """A squarefree modulus P together with its sifting level z."""
+    """A squarefree modulus P together with its sifting level z, the
+    largest prime factor of P (2 when P = 1)."""
 
     P: int
     z: float
     prime_factors: tuple[int, ...]
 
     @classmethod
-    def from_int(cls, P: int, z: float | None = None) -> "SievingModulus":
+    def from_int(cls, P: int) -> "SievingModulus":
         if P < 1:
             raise ValueError("sieving modulus must be positive")
         fac = factorize(P)
@@ -47,15 +48,7 @@ class SievingModulus:
         radical = 1
         for p in primes:
             radical *= p
-        if z is None:
-            z = float(max(primes, default=2))
-        if any(p > z for p in primes):
-            raise ValueError(f"prime factor of P exceeds the sifting level z = {z}")
-        return cls(P=radical, z=z, prime_factors=primes)
-
-
-def _local_factor(p: int, D: int) -> Fraction:
-    return Fraction(1, p - kronecker(D, p))
+        return cls(P=radical, z=float(max(primes, default=2)), prime_factors=primes)
 
 
 def g_prime(p: int, f: Form, P: SievingModulus) -> Fraction:
@@ -63,7 +56,7 @@ def g_prime(p: int, f: Form, P: SievingModulus) -> Fraction:
     p does not divide c, else 0."""
     if p not in P.prime_factors or f.c % p == 0:
         return Fraction(0)
-    return _local_factor(p, f.discriminant)
+    return Fraction(1, p - kronecker(f.discriminant, p))
 
 
 def g_dprime(p: int, f: Form, P: SievingModulus) -> Fraction:
@@ -71,7 +64,7 @@ def g_dprime(p: int, f: Form, P: SievingModulus) -> Fraction:
     place of c."""
     if p not in P.prime_factors or f.a % p == 0:
         return Fraction(0)
-    return _local_factor(p, f.discriminant)
+    return Fraction(1, p - kronecker(f.discriminant, p))
 
 
 def delta_f(f: Form, P: SievingModulus) -> Fraction:

@@ -265,7 +265,7 @@ def main_term_floor(x: float, m: ErrorModel) -> dict:
     implied constants, so a caller can assert they are bounded.
     """
     if _below(x, 36 * m.c_ZDE, m):
-        raise ConfigurationError("main_term_floor requires x >= Q^(36 c_ZDE)")
+        raise ConfigurationError(f"main_term_floor requires x >= Q^{36 * m.c_ZDE}")
     floor = nu1(m) * x
     if m.beta1 is None:
         return {

@@ -161,6 +161,41 @@ class TestCompositionBounds:
         with pytest.raises(ValueError):
             bs.composition_bounds_check(spec, spec, dens)
 
+    @staticmethod
+    def mixed_supports(K):
+        # g', g'' on the larger support; the smaller one leaves 7, 11, 13 out
+        small, big = (2, 3, 5), (2, 3, 5, 7, 11, 13)
+        dens = bs.DensityPair(
+            {p: Fraction(1, p + 1) for p in big}, {p: Fraction(1, p + 2) for p in big}
+        )
+        z = 14.0
+        spec_small, spec_big = (
+            bs.SieveSpec(z=z, R=z**27, kind="upper", support=s, K_const=K)
+            for s in (small, big)
+        )
+        return spec_small, spec_big, dens
+
+    def test_dimension_condition_over_both_supports(self):
+        spec_small, spec_big, dens = self.mixed_supports(5.0)
+        for pair in ((spec_small, spec_big), (spec_big, spec_small)):
+            rep = bs.composition_bounds_check(*pair, dens)
+            assert rep.smallest_K == pytest.approx(4.5933, abs=1e-4)
+        spec_small, spec_big, dens = self.mixed_supports(4.0)
+        for pair in ((spec_small, spec_big), (spec_big, spec_small)):
+            with pytest.raises(ValueError, match=r"^sieve dimension condition fails for K = 4\.0"):
+                bs.composition_bounds_check(*pair, dens)
+
+    def test_unsupported_kinds_rejected_first(self, monkeypatch):
+        spec1, spec2, dens = self.make("upper", "lower")
+
+        def unreachable(spec):
+            raise AssertionError("weights built before the kind check")
+
+        monkeypatch.setattr(bs, "beta_sieve_weights", unreachable)
+        match = r"^unsupported kind combination \('upper', 'lower'\)$"
+        with pytest.raises(ValueError, match=match):
+            bs.composition_bounds_check(spec1, spec2, dens)
+
     def test_report_json(self):
         spec1, spec2, dens = self.make("upper", "upper")
         rep = bs.composition_bounds_check(spec1, spec2, dens)

@@ -16,7 +16,7 @@ from cdtlab import chebotarev as ch
 from cdtlab import cli
 from cdtlab import densities as de
 from cdtlab import quadforms as qf
-from cdtlab.arith import PrimeCache, is_prime, li, primes_up_to
+from cdtlab.arith import PrimeCache, is_prime, kronecker, li, primes_up_to
 from cdtlab.betasieve import SieveSpec, beta_sieve_weights
 from cdtlab.errorterms import ErrorModel
 
@@ -81,6 +81,8 @@ class TestWheel:
         f = qf.Form(1, 1, 6)
         with pytest.raises(ValueError, match=f"^x must be a finite number, got {x}$"):
             ch.count_prime_points(f, x)
+        with pytest.raises(ValueError, match=f"^x must be a finite number, got {x}$"):
+            ch.pi_class_scan(f, x)
         if not x < 100:  # bridge_check turns -inf away as below 100
             with pytest.raises(ValueError, match=f"^x must be a finite number, got {x}$"):
                 ch.bridge_check(f, x)
@@ -379,6 +381,23 @@ class TestMainTermAndBridge:
             out = ch.bridge_check(f, 1e5)
             assert out["smallest_C"] <= 5.0, tuple(f)
 
+    @pytest.mark.parametrize("x", [1e4, 1e6])
+    def test_bridge_pi_vs_pi_class(self, x):
+        # the bridge's pi_C adds the inert (p), p^2 <= x, to the principal
+        # class and leaves out the ramified primes that pi_class counts
+        D = -23
+        principal = qf.reduce_form(qf.principal_form(D))
+        inert = sum(
+            1 for p in range(2, math.isqrt(int(x)) + 1) if is_prime(p) and kronecker(D, p) == -1
+        )
+        pis = {}
+        for f in qf.class_representatives(D).representatives:
+            ramified = int(qf.prime_to_class(23, D) == f)
+            pis[f] = ch.bridge_check(f, x)["pi"]
+            assert pis[f] == ch.pi_class(f, x) - ramified + inert * (f == principal)
+        assert pis[principal] == {1e4: 400, 1e6: 26151}[x]
+        assert (ch.pi_class(principal, x), inert) == {1e4: (387, 14), 1e6: (26065, 87)}[x]
+
     def test_li_identity(self):
         for x in (1e4, 1e6):
             assert ch.li_identity_check(x, 0.9) <= 2 * math.sqrt(x) / math.log(x)
@@ -405,6 +424,15 @@ class TestCongruence:
         out = ch.congruence_sum_predicted(f, 3, 5, 1e6, P, model=ErrorModel())
         assert out["budget"] is not None and out["budget"] > 0
 
+    @pytest.mark.parametrize("d1", [7, 9])
+    def test_predicted_rejects_d_off_P(self, d1):
+        # 7 is off P = 15, and 9 divides no squarefree P: neither has a density
+        P = de.SievingModulus.from_int(15)
+        with pytest.raises(ValueError, match=f"^d1 = {d1} and d2 = 1 must divide P = 15$"):
+            ch.congruence_sum_predicted(qf.Form(1, 0, 1), d1, 1, 1e6, P)
+        with pytest.raises(ValueError, match=f"^d1 = 1 and d2 = {d1} must divide P = 15$"):
+            ch.congruence_sum_predicted(qf.Form(1, 0, 1), 1, d1, 1e6, P)
+
 
 class TestSievedSum:
     def test_orders_agree_and_bracket(self):
@@ -425,6 +453,23 @@ class TestSievedSum:
         sifted = ch.theorem15_experiment(f, P, x).lhs
         # full Moebius weights on both axes give the sifted count exactly
         assert up["S"] == sifted
+
+    def test_order_disagreement_raises(self, monkeypatch):
+        f = qf.Form(1, 1, 6)
+        P = de.SievingModulus.from_int(105)
+        w = beta_sieve_weights(
+            SieveSpec(z=8.0, R=1e10, kind="upper", support=P.prime_factors)
+        )
+        lattice_sum = ch._lattice_sum
+
+        def skewed(g, x, n_ok, w_u, w_v, workers=1):
+            # the sum-of-A calls weigh u and v by the one-entry table
+            return lattice_sum(g, x, n_ok, w_u, w_v, workers) + (len(w_u) == 1)
+
+        # full Moebius on both axes: sum of mu(d1) mu(d2) over coprime pairs is -1
+        monkeypatch.setattr(ch, "_lattice_sum", skewed)
+        with pytest.raises(AssertionError, match=r"^evaluation orders disagree: "):
+            ch.sieved_sum_S(f, w, w, P, 3e3)
 
     def test_support_mismatch_rejected(self):
         f = qf.Form(1, 1, 6)

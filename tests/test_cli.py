@@ -259,7 +259,7 @@ class TestBounds:
         data = json.loads(out)
         assert data["thm11_error"] == "out of range: thm11_error requires x >= Q^40.0"
         assert data["main_term_floor"] == (
-            "out of range: main_term_floor requires x >= Q^(36 c_ZDE)"
+            "out of range: main_term_floor requires x >= Q^360"
         )
 
     def test_theta1_reaches_output(self, capsys):

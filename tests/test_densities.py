@@ -18,10 +18,6 @@ class TestSievingModulus:
             P = de.SievingModulus.from_int(12)
         assert P.P == 6
 
-    def test_z_too_small(self):
-        with pytest.raises(ValueError):
-            de.SievingModulus.from_int(15, z=4.0)
-
 
 class TestLocalDensities:
     def test_off_support(self):
