@@ -247,6 +247,12 @@ def composition_bounds_check(
         )
     support = tuple(sorted(set(spec1.support) | set(spec2.support)))
     h1, h2, _, _ = tilde_transforms(d)
+    for p in support:
+        if max(h1.get(p, 0), h2.get(p, 0)) >= 1:
+            raise ValueError(
+                f"h~(p) >= 1 at p = {p}: the sieve dimension condition needs "
+                "2 g'(p) + g''(p) < 1 and g'(p) + 2 g''(p) < 1"
+            )
     # smallest K with the sieve dimension condition for (kappa, z) at every
     # w in {2} union support, for both densities:
     #     prod_{w <= p < z} (1 - h~(p))^{-1} <= K (log z / log w)^kappa

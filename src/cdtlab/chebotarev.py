@@ -19,13 +19,15 @@ when the form properly represents it, f(u, v) = p^j with gcd(u, v) = 1,
 since the only primitive ideals of norm p^j are the j-th powers of the
 two ideals above p (Cox, Primes of the Form x^2+ny^2, 2-3 and
 Theorem 7.7; Cohen, Computational Algebraic Number Theory, 5.2).  They
-are read off one lattice pass over the class's own form, from a mark
-table that also holds the powers of the inert primes (p), all in the
-principal class; one read-out gives every event in order.  pi_class_scan
-walks every prime p <= x, 2 and the ramified primes included, as an
-independent slow count that equals the lattice count exactly; it labels
-each prime by quadforms.prime_to_class, the class of the forms that
-represent it.
+are read off one lattice pass over the class's own form, on the
+kernel's wheel mod 30, into a mark table that also holds the powers of
+the inert primes (p), all in the principal class; the powers of a split
+2, 3 or 5, which the wheel skips, are placed by the class of the prime
+and its composition powers.  One read-out gives every event in order.
+pi_class_scan walks every prime p <= x, 2 and the ramified primes
+included, as an independent slow count that equals the lattice count
+exactly; it labels each prime by quadforms.prime_to_class, the class of
+the forms that represent it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .quadforms import (
     Form,
     _u_bound,
     class_representatives,
+    compose,
     induced_form,
     inverse_form,
     prime_to_class,
@@ -352,13 +355,17 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     class holds a primitive ideal of norm m (Cox, Primes of the Form
     x^2+ny^2, 2-3 and Theorem 7.7; Cohen, Computational Algebraic Number
     Theory, 5.2).  So the split events of the class are the values
-    f(u, v) = p^j of `target` with gcd(u, v) = 1, read off one lattice
-    pass; when `target` is its own inverse both conjugate powers lie in
-    its class and the row appears twice.  Inert p: the ideal (p) has
-    norm q = p^2 and lies in the principal class; no form properly
-    represents its powers.  Ramified primes and the primes dividing the
-    conductor are left out; at the scales handled here their
-    contribution is below every tolerance in use.
+    f(u, v) = p^j of `target` with gcd(u, v) = 1.  Those with p >= 7 are
+    read off one lattice pass over the kernel's wheel mod 30, which
+    builds only the points with f(u, v) prime to 30.  The powers of a
+    split 2, 3 or 5 are placed by the class g = prime_to_class(p, D):
+    p^j is an event exactly when g^j or g^-j, built by compose, is the
+    class of `target`.  When `target` is its own inverse both conjugate
+    powers lie in its class and the row appears twice.  Inert p: the
+    ideal (p) has norm q = p^2 and lies in the principal class; no form
+    properly represents its powers.  Ramified primes and the primes
+    dividing the conductor are left out; at the scales handled here
+    their contribution is below every tolerance in use.
     """
     check_finite(bound)
     target = reduce_form(target)
@@ -366,13 +373,14 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     principal = target == reduce_form(principal_form(D))
     bound = max(int(bound), 0)
     flags = prime_table(bound).flags
-    # mark 1: a power p^j <= bound, j >= 1, of a prime ideal of norm
-    # base.get(n, n) = p; 2: one that `target` properly represents;
-    # 3: in the principal class, a power of an inert (p), base[n] = p^2
+    # mark 1: a prime p <= bound; 2: a power p^j <= bound, j >= 2, of a
+    # prime ideal of norm base[n] = p; 3: in the principal class, a power
+    # of an inert (p), base[n] = p^2; 4: a value p^j that `target`
+    # properly represents
     mark = flags[: bound + 1].astype(np.uint8)
     base = {}
     for p in np.flatnonzero(flags[: math.isqrt(bound) + 1]).tolist():
-        q, m = p, 1
+        q, m = p, 2
         if kronecker(D, p) == -1:
             q, m = p * p, 3 if principal else 0
         n = p * p
@@ -381,17 +389,29 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
             n *= q
 
     # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value;
-    # an inert power is never properly represented and keeps its mark 3
-    for U, V, N in represented_blocks(target, bound, 0):
-        hit = np.flatnonzero(mark[N])
-        mark[N[hit[np.gcd(U[hit], V[hit]) == 1]]] = 2
-    n = np.flatnonzero(mark >= 2)
+    # an inert power is never properly represented and keeps its mark 3.
+    # gcd(u, v)^2 divides f(u, v), so only the powers need the gcd
+    for U, V, N in represented_blocks(target, bound, 0, admissible=_wheel(target)):
+        M = mark[N]
+        mark[N[M == 1]] = 4
+        hit = np.flatnonzero(M == 2)
+        mark[N[hit[np.gcd(U[hit], V[hit]) == 1]]] = 4
+    inverse = inverse_form(target)
+    for p in (2, 3, 5):
+        if D % p == 0 or (g := prime_to_class(p, D)) is None:
+            continue
+        n, gj = p, g
+        while n <= bound:
+            if gj in (target, inverse):
+                mark[n] = 4
+            n, gj = n * p, compose(gj, g)
+    n = np.flatnonzero(mark >= 3)
     rows = np.column_stack((n, n))
     power = np.flatnonzero(~flags[n])
     rows[power, 1] = [base[k] for k in n[power].tolist()]
     rows = rows[D % rows[:, 1] != 0]
-    twice = inverse_form(target) == target
-    return np.repeat(rows, 1 + (twice & (mark[rows[:, 0]] == 2)), axis=0)
+    twice = inverse == target
+    return np.repeat(rows, 1 + (twice & (mark[rows[:, 0]] == 4)), axis=0)
 
 
 def psi_class(target: Form, x: float) -> float:
@@ -435,13 +455,18 @@ def bridge_check(target: Form, x: float) -> dict:
     events = psi_events(target, x)
     logx = math.log(x)
     sqrtx = math.sqrt(x)
-    n, q = events.T.tolist()
-    w = list(map(math.log, q))
-    pi_val = int(np.count_nonzero(events[:, 0] == events[:, 1]))
-    psi_val = math.fsum(w)
-    integral = math.fsum(
-        wk * (1 / math.log(max(sqrtx, nk)) - 1 / logx) for nk, wk in zip(n, w)
-    )
+    n, q = events.T
+    # math.log, not np.log, which is 1 ulp off on some weights; the
+    # numpy operations below round each term as Python's would
+    logs = list(map(math.log, q.tolist()))
+    w = np.array(logs)
+    # L = log max(sqrtx, n), which is the weight log q on a row n == q > sqrtx
+    L = np.where(n > sqrtx, w, math.log(sqrtx))
+    power = np.flatnonzero((n != q) & (n > sqrtx))
+    L[power] = list(map(math.log, n[power].tolist()))
+    pi_val = int(np.count_nonzero(n == q))
+    psi_val = math.fsum(logs)
+    integral = math.fsum((w * (1 / L - 1 / logx)).tolist())
     rhs = psi_val / logx + integral
     diff = abs(pi_val - rhs)
     return {

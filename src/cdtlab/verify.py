@@ -173,6 +173,19 @@ def _check_chebotarev() -> list[Check]:
     )
     br = chebotarev.bridge_check(f, 1e4)
     out.append(("bridge constant", br["smallest_C"] <= 5, f"C = {br['smallest_C']:.3f}"))
+    # the bridge's pi_C leaves out the ramified primes that pi_class
+    # counts, and adds the inert (p), p^2 <= x, to the principal class
+    D, x = -23, 1e5
+    principal = quadforms.reduce_form(quadforms.principal_form(D))
+    inert = sum(
+        arith.kronecker(D, p) == -1 for p in arith.primes_up_to(math.isqrt(int(x))).primes()
+    )
+    ramified = [quadforms.prime_to_class(p, D) for p, _ in arith.factorize(-D)]
+    ok, pis = True, []
+    for g in quadforms.class_representatives(D).representatives:
+        pis.append(chebotarev.bridge_check(g, x)["pi"])
+        ok &= pis[-1] == chebotarev.pi_class(g, x) - ramified.count(g) + inert * (g == principal)
+    out.append(("bridge pi vs lattice pi_class", ok, f"D=-23, x=1e5: pi = {pis}"))
     ok = chebotarev.li_identity_check(1e6) <= 2 * math.sqrt(1e6) / math.log(1e6)
     out.append(("Li integration-by-parts identity", ok, "x=1e6, sigma=0.9"))
     return out

@@ -161,6 +161,21 @@ class TestCompositionBounds:
         with pytest.raises(ValueError):
             bs.composition_bounds_check(spec, spec, dens)
 
+    @pytest.mark.parametrize(
+        "g1, g2",
+        [
+            (Fraction(1, 3), Fraction(1, 3)),  # h~ = 1: the factor divided by zero
+            (Fraction(2, 5), Fraction(1, 4)),  # h~' = 8/7: the factor was negative
+            (Fraction(1, 4), Fraction(2, 5)),  # h~'' = 8/7
+        ],
+        ids=["h_one", "h1_above_one", "h2_above_one"],
+    )
+    def test_tilde_density_at_least_one_rejected(self, g1, g2):
+        spec = bs.SieveSpec(z=4, R=4**30, kind="upper", support=(3,), K_const=3.0)
+        dens = bs.DensityPair({3: g1}, {3: g2})
+        with pytest.raises(ValueError, match=r"^h~\(p\) >= 1 at p = 3: "):
+            bs.composition_bounds_check(spec, spec, dens)
+
     @staticmethod
     def mixed_supports(K):
         # g', g'' on the larger support; the smaller one leaves 7, 11, 13 out

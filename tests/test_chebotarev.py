@@ -43,14 +43,19 @@ def prime_values(f, x):
     return sorted(n for n in values if n <= x and is_prime(n))
 
 
-# every reduced form a u^2 + b uv + c v^2 with |D| <= 200, imprimitive ones too
-REDUCED_200 = [
-    qf.Form(a, b, c)
-    for a in range(1, 9)
-    for b in range(-a + 1, a + 1)
-    for c in range(a, (200 + b * b) // (4 * a) + 1)
-    if b * b - 4 * a * c >= -200 and not (a == c and b < 0)
-]
+def reduced_forms(bound):
+    """Every reduced form a u^2 + b uv + c v^2 with |D| <= bound,
+    imprimitive ones too; |D| >= 3 a^2 bounds a."""
+    return [
+        qf.Form(a, b, c)
+        for a in range(1, math.isqrt(bound // 3) + 1)
+        for b in range(-a + 1, a + 1)
+        for c in range(a, (bound + b * b) // (4 * a) + 1)
+        if b * b - 4 * a * c >= -bound and not (a == c and b < 0)
+    ]
+
+
+REDUCED_200 = reduced_forms(200)
 
 
 class TestWheel:
@@ -294,6 +299,54 @@ class TestPsi:
                 assert events.tolist() == walk_psi_events(f, x), (tuple(f), x)
             assert ch.psi_class(f, -5) == 0.0
 
+    @given(st.sampled_from(reduced_forms(300)), st.integers(min_value=0, max_value=5000))
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_forms_equal_walk(self, f, x):
+        assert ch.psi_events(f, x).tolist() == walk_psi_events(f, x)
+
+    # 2, 3 or 5 split into a class g of order >= 3, so that the powers
+    # p^j, which the wheel skips, spread over the classes g^j; D = -44
+    # is non-fundamental
+    @pytest.mark.parametrize("D", [-71, -119, -44, -104])
+    def test_small_split_primes_of_high_order(self, D):
+        principal = qf.reduce_form(qf.principal_form(D))
+
+        def order(g):
+            power, k = g, 1
+            while power != principal:
+                power, k = qf.compose(power, g), k + 1
+            return k
+
+        classes = [qf.prime_to_class(p, D) for p in (2, 3, 5) if D % p]
+        assert max(order(g) for g in classes if g is not None) >= 3
+        for f in qf.class_representatives(D).representatives:
+            for x in (200, 1e5):
+                assert ch.psi_events(f, x).tolist() == walk_psi_events(f, x), (tuple(f), x)
+
+    def test_powers_of_two_at_D_71(self):
+        # the class g = (2, 1, 9) of 2 has order 7 and g^j, g^-j share the
+        # values of their forms: (4, 3, 5) = g^2 holds 2^2 and 2^5, the
+        # principal class g^7 holds 2^7 twice
+        assert qf.prime_to_class(2, -71) == qf.Form(2, 1, 9)
+        twos = {(1, 18): [128, 128], (2, 9): [2, 64], (3, 6): [8, 16], (4, 5): [4, 32]}
+        for f in qf.class_representatives(-71).representatives:
+            events = ch.psi_events(f, 200).tolist()
+            assert [n for n, q in events if q == 2] == twos[f.a, f.c], tuple(f)
+
+    def test_lattice_pass_walks_the_wheel(self, monkeypatch):
+        f = qf.Form(2, 1, 3)
+        built = []
+
+        def counted(*args, **kwargs):
+            for U, V, N in qf.represented_blocks(*args, **kwargs):
+                built.append(len(N))
+                yield U, V, N
+
+        monkeypatch.setattr(ch, "represented_blocks", counted)
+        ch.psi_events(f, 1e5)
+        half = sum(len(N) for _, _, N in qf.represented_blocks(f, 1e5, 0))
+        assert 0 < sum(built) <= 0.12 * half
+
     def test_principal_gauss_oracle(self):
         # independent bookkeeping for D = -4 via the splitting of
         # rational primes in the Gaussian field
@@ -397,6 +450,28 @@ class TestMainTermAndBridge:
             assert pis[f] == ch.pi_class(f, x) - ramified + inert * (f == principal)
         assert pis[principal] == {1e4: 400, 1e6: 26151}[x]
         assert (ch.pi_class(principal, x), inert) == {1e4: (387, 14), 1e6: (26065, 87)}[x]
+
+    @pytest.mark.parametrize(
+        "f,x",
+        [(f, x) for f in qf.class_representatives(-23).representatives for x in (1e4, 1e6)]
+        + [(qf.Form(1, 0, 1), 1e5)],
+        ids=lambda v: "_".join(map(str, v)) if isinstance(v, qf.Form) else f"{v:g}",
+    )
+    def test_bridge_bits_equal_per_row_formula(self, f, x):
+        # the per-row formula of the bridge, math.log on each row
+        events = ch.psi_events(f, x)
+        logx, sqrtx = math.log(x), math.sqrt(x)
+        n, q = events.T.tolist()
+        w = list(map(math.log, q))
+        psi = math.fsum(w)
+        integral = math.fsum(
+            wk * (1 / math.log(max(sqrtx, nk)) - 1 / logx) for nk, wk in zip(n, w)
+        )
+        rhs = psi / logx + integral
+        pi = sum(nk == qk for nk, qk in zip(n, q))
+        out = ch.bridge_check(f, x)
+        assert (out["pi"], out["psi"], out["integral"], out["rhs"]) == (pi, psi, integral, rhs)
+        assert out["smallest_C"] == abs(pi - rhs) * logx / sqrtx
 
     def test_li_identity(self):
         for x in (1e4, 1e6):
