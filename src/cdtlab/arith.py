@@ -304,10 +304,27 @@ _EULER_GAMMA = 0.5772156649015329
 _LI_2 = 1.0451637801174928  # li(2), the principal value from 0
 
 
-def check_finite(x: float) -> None:
-    """Reject a bound x that is NaN or infinite, before any int(x)."""
+def check_finite(x: float, name: str = "x") -> None:
+    """Reject an argument that is NaN or infinite, before any int(x)."""
     if not math.isfinite(x):
-        raise ValueError(f"x must be a finite number, got {x}")
+        raise ValueError(f"{name} must be a finite number, got {x}")
+
+
+def checked_log(x: float, lower: float, message: str, name: str = "x", error=ValueError) -> float:
+    """log x: the one domain rule for a real argument.  NaN and +-inf raise
+    ValueError naming it, and an x below `lower` raises error(message)."""
+    check_finite(x, name)
+    if x < lower:
+        raise error(message)
+    return math.log(x)
+
+
+def power_or_inf(base: float, exponent: float) -> float:
+    """base ** exponent, or inf past the float range, above every float."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def li(x: float) -> float:
@@ -323,12 +340,9 @@ def li(x: float) -> float:
     term is below 1e-17 of the partial sum.  The absolute error is below
     1e-14 * max(1, Li(x)) for 2 <= x <= 1e15.
     """
-    check_finite(x)  # the series would never stop
-    if x < 2:
-        raise ValueError("li requires x >= 2")
+    L = checked_log(x, 2, "li requires x >= 2")  # at inf the series would never stop
     if x == 2:
         return 0.0  # the bare series leaves -2e-16 here
-    L = math.log(x)
     terms = []
     partial = inner = 0.0
     t = L  # (-1)^(n-1) L^n / (n! 2^(n-1)) at n = 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arith import divisors, factorize, is_prime
+from .arith import check_finite, divisors, factorize, is_prime, power_or_inf
 
 __all__ = [
     "SieveSpec",
@@ -45,19 +45,18 @@ class SieveSpec:
             raise ValueError(f"kind must be 'upper' or 'lower', got {self.kind!r}")
         if not self.z > 1:
             raise ValueError(f"sifting level z must exceed 1, got {self.z}")
-        if not math.isfinite(self.R):
-            raise ValueError(f"level R must be a finite number, got {self.R}")
+        check_finite(self.R, "level R")
         for p in self.support:
             if not is_prime(p):
                 raise ValueError(f"support entry {p} is not a prime")
         if len(set(self.support)) < len(self.support):
             raise ValueError(f"support primes must be distinct, got {self.support}")
-        for name in ("kappa", "K_const"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
+        check_finite(self.kappa, "kappa")
+        check_finite(self.K_const, "K_const")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"kappa = {self.kappa} puts 9 kappa + 1 past the float range")
         if self.s < 1:
             raise ValueError("need log R / log z >= 1")
         if any(p > self.z for p in self.support):
@@ -101,7 +100,7 @@ def beta_sieve_weights(spec: SieveSpec) -> SieveWeights:
             if d >= spec.R:
                 continue
             m = depth + 1
-            if m % 2 == parity and product * p ** (spec.beta + 1) > spec.R:
+            if m % 2 == parity and product * power_or_inf(p, spec.beta + 1) > spec.R:
                 continue
             lam[d] = -sign
             descend(i + 1, d, m, -sign)
@@ -230,13 +229,15 @@ def composition_bounds_check(
     upper/upper:  G <= prod(1 - g' - g'') * (1 + e^{9k - s} K^10)^2
     lower/upper:  G >= prod(1 - g' - g'') * (1 - e^{9k - s} K^10)
     Also evaluates the Fundamental-Lemma sums sum_b theta_b h~(b).
-    The hypotheses are checked over the union of both supports.
+    Both sieves sift by one support, and the hypotheses are checked over it.
     """
     kinds = (spec1.kind, spec2.kind)
     if kinds not in (("upper", "upper"), ("lower", "upper")):
         raise ValueError(f"unsupported kind combination {kinds}")
     if spec1.z != spec2.z or spec1.R != spec2.R:
         raise ValueError("both sieves must share z and R")
+    if set(spec1.support) != set(spec2.support):
+        raise ValueError(f"both sieves must share one support: {spec1.support}, {spec2.support}")
     s = spec1.s
     kappa = max(spec1.kappa, spec2.kappa)
     K = max(spec1.K_const, spec2.K_const)
@@ -245,7 +246,7 @@ def composition_bounds_check(
             f"hypothesis s > 9*kappa + 1 + 10*log K fails: s = {s:.3f}, "
             f"kappa = {kappa}, K = {K}"
         )
-    support = tuple(sorted(set(spec1.support) | set(spec2.support)))
+    support = tuple(sorted(spec1.support))
     h1, h2, _, _ = tilde_transforms(d)
     for p in support:
         if max(h1.get(p, 0), h2.get(p, 0)) >= 1:

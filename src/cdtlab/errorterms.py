@@ -9,6 +9,9 @@ The optional exceptional zero is two fields of the model: beta1, never
 computed, only supplied, and its sign theta1 (0 exactly when there is no
 zero).  Every bound reads lambda1 = (1 - beta1) log Q from `nu1`.
 
+Every real argument x, t, T, z or R passes arith.checked_log (no NaN or
++-inf, then its lower bound: x >= Q^k for a range), and Q is finite, >= 2.
+
 None of the underlying theorems are proved here; every "absolute,
 effective" constant the source theory leaves unnumbered is an explicit
 configuration field, and inequality checks report the smallest constant
@@ -21,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .arith import check_finite, divisors, euler_phi, tau
+from .arith import check_finite, checked_log, divisors, euler_phi, power_or_inf, tau
 
 __all__ = [
     "ErrorModel",
@@ -69,16 +72,17 @@ class ErrorModel:
     theta1: int = 0
 
     def __post_init__(self):
-        for name in ("D_K", "Qcal"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
+        check_finite(self.D_K, "D_K")
+        check_finite(self.Qcal, "Qcal")
         if self.n_K < 1:
             raise ValueError(f"n_K must be an integer >= 1, got {self.n_K}")
         if self.c_ZDE < 1:
             raise ValueError("c_ZDE must be an integer >= 1")
-        if self.Q < 2:
-            raise ValueError("bound evaluations need Q >= 2")
+        try:
+            Q = self.Q
+        except OverflowError:  # n_K^n_K past the float range
+            Q = math.inf
+        checked_log(Q, 2, "bound evaluations need Q >= 2", "Q")
         if (self.beta1 is None) != (self.theta1 == 0):
             raise ValueError("theta1 = 0 exactly when beta1 is absent")
         if self.beta1 is not None and not 0.5 < self.beta1 < 1:
@@ -95,36 +99,38 @@ class ErrorModel:
         return math.log(self.Q)
 
 
-def _log_QT(t: float, m: ErrorModel) -> float:
+def _log_QT(log_t: float, m: ErrorModel) -> float:
     """log(Q t^n_K), the analytic conductor at height t."""
-    return m.log_Q + m.n_K * math.log(t)
+    return m.log_Q + m.n_K * log_t
 
 
-def _below(x: float, k: float, m: ErrorModel) -> bool:
-    """x < Q^k.  A Q^k past the float range exceeds every float x.  In
-    logs, x = Q^k itself could fall below by a rounding."""
-    try:
-        return x < m.Q**k
-    except OverflowError:
-        return True
+def _log_in_range(x: float, k: float, m: ErrorModel, caller: str) -> float:
+    """log x over the range x >= Q^k of `caller`; not tested in logs, where
+    x = Q^k itself could fall below by a rounding."""
+    message = f"{caller} requires x >= Q^{k}"
+    return checked_log(x, power_or_inf(m.Q, k), message, error=ConfigurationError)
+
+
+def _two_term(logx: float, a: float, b: float, m: ErrorModel) -> float:
+    """e^{-a log x / log Q} + e^{-sqrt(b log x / n_K)}."""
+    return math.exp(-a * logx / m.log_Q) + math.exp(-math.sqrt(b * logx / m.n_K))
 
 
 def delta_zfr(t: float, m: ErrorModel) -> float:
     """Classical zero-free-region width c_ZFR / log(Q t^n_K) at height t."""
-    if t < 3:
-        raise ValueError("delta_zfr requires t >= 3")
-    return m.c_ZFR / _log_QT(t, m)
+    log_t = checked_log(t, 3, "delta_zfr requires t >= 3", "t")
+    return m.c_ZFR / _log_QT(log_t, m)
+
 
 def delta_repulsion(t: float, m: ErrorModel) -> float:
     """Repulsion width min{1/2, c_DH log(1/((1-b1) log(Q t^n)))/log(Q t^n)}."""
     if m.beta1 is None:
         raise ConfigurationError("delta_repulsion requires an exceptional zero beta1")
-    if t < 3:
-        raise ValueError("delta_repulsion requires t >= 3")
+    log_t = checked_log(t, 3, "delta_repulsion requires t >= 3", "t")
     lam = B1(t, m)  # (1 - b1) log(Q t^n), capped at 1
     if lam >= 1:
         return 0.0
-    return min(0.5, m.c_DH * math.log(1 / lam) / _log_QT(t, m))
+    return min(0.5, m.c_DH * math.log(1 / lam) / _log_QT(log_t, m))
 
 
 def combined_delta(t: float, m: ErrorModel) -> float:
@@ -137,11 +143,10 @@ def combined_delta(t: float, m: ErrorModel) -> float:
 def B1(T: float, m: ErrorModel) -> float:
     """Density-estimate factor min{1, (1 - beta1) log(Q T^n_K)}; 1 without
     an exceptional zero."""
-    if T < 1:
-        raise ValueError("B1 requires T >= 1")
+    log_T = checked_log(T, 1, "B1 requires T >= 1", "T")
     if m.beta1 is None:
         return 1.0
-    return min(1.0, (1 - m.beta1) * _log_QT(T, m))
+    return min(1.0, (1 - m.beta1) * _log_QT(log_T, m))
 
 
 def nu1(m: ErrorModel) -> float:
@@ -167,10 +172,7 @@ def stark_floor(m: ErrorModel) -> float:
 def eta(x: float, m: ErrorModel) -> float:
     """inf over t >= 3 of [Delta(t) log x + log t] with the combined
     zero-free width; grid scan plus local refinement, accuracy ~1e-9."""
-    check_finite(x)
-    if x < 2:
-        raise ValueError("eta requires x >= 2")
-    logx = math.log(x)
+    logx = checked_log(x, 2, "eta requires x >= 2")
 
     def phi(u: float) -> float:
         return combined_delta(math.exp(u), m) * logx + u
@@ -194,25 +196,16 @@ def eta(x: float, m: ErrorModel) -> float:
 def classical_error(x: float, m: ErrorModel) -> float:
     """Closed-form bound  e^{-c_ZFR log x / log Q} + e^{-sqrt(c_ZFR log x / n_K)};
     dominates e^{-eta(x)} when no repulsion is active."""
-    check_finite(x)
-    if x < 2:
-        raise ConfigurationError("classical_error requires x >= 2")
-    logx = math.log(x)
-    return math.exp(-m.c_ZFR * logx / m.log_Q) + math.exp(
-        -math.sqrt(m.c_ZFR * logx / m.n_K)
-    )
+    logx = checked_log(x, 2, "classical_error requires x >= 2", error=ConfigurationError)
+    return _two_term(logx, m.c_ZFR, m.c_ZFR, m)
 
 
 def thm11_error(x: float, m: ErrorModel) -> float:
     """Relative error of the asymptotic theorem in its stated range
     x >= Q^c_1, with constants c_ZFR/4 and c_ZFR/8 inherited from the
     unsmoothing step."""
-    if _below(x, m.c_1, m):
-        raise ConfigurationError(f"thm11_error requires x >= Q^{m.c_1}")
-    logx = math.log(x)
-    return math.exp(-m.c_ZFR / 4 * logx / m.log_Q) + math.exp(
-        -math.sqrt(m.c_ZFR * logx / (8 * m.n_K))
-    )
+    logx = _log_in_range(x, m.c_1, m, "thm11_error")
+    return _two_term(logx, m.c_ZFR / 4, m.c_ZFR / 8, m)
 
 
 def siegel_error(x: float, m: ErrorModel) -> dict:
@@ -233,9 +226,7 @@ def siegel_error(x: float, m: ErrorModel) -> dict:
         raise ConfigurationError(
             f"lambda1 = {lam:.3g} exceeds the smallness threshold {m.c_SZ_lambda}"
         )
-    if _below(x, m.c_SZ_size, m):
-        raise ConfigurationError(f"requires Q <= x^(1/{m.c_SZ_size})")
-    logx = math.log(x)
+    logx = _log_in_range(x, m.c_SZ_size, m, "siegel_error")
     tail = math.exp(-m.c_DH * logx / (2 * m.log_Q)) + math.exp(
         -m.c_SZ_err * math.sqrt(logx / m.n_K)
     )
@@ -264,25 +255,15 @@ def main_term_floor(x: float, m: ErrorModel) -> dict:
     actual main term, the case-specific comparison quantity, and the
     implied constants, so a caller can assert they are bounded.
     """
-    if _below(x, 36 * m.c_ZDE, m):
-        raise ConfigurationError(f"main_term_floor requires x >= Q^{36 * m.c_ZDE}")
-    floor = nu1(m) * x
-    if m.beta1 is None:
-        return {
-            "case": "no_zero",
-            "actual": x,
-            "floor": floor,
-            "case_bound": x,
-            "implied_constant": 1.0,
-            "floor_constant": 1.0,
-        }
+    logx = _log_in_range(x, 36 * m.c_ZDE, m, "main_term_floor")
+    floor = nu1(m) * x  # x itself with no zero, so both constants read 1.0
     b1 = m.beta1
-    logx = math.log(x)
-    actual = x - m.theta1 * x**b1 / b1
-    lam_x = (1 - b1) * logx
-    if m.theta1 != 1:
+    actual = x if b1 is None else x - m.theta1 * x**b1 / b1
+    if b1 is None:
+        case, bound = "no_zero", x
+    elif m.theta1 != 1:
         case, bound = "negative_theta1", x
-    elif lam_x < 1:
+    elif (1 - b1) * logx < 1:
         case, bound = "small_lambda", (1 - b1) * x * (logx - 1)
     else:
         case, bound = "large_lambda", (1 - 2 / math.e) * x
@@ -300,9 +281,10 @@ def main_term_floor(x: float, m: ErrorModel) -> dict:
 
 def remainder_eps(d: int, x: float, m: ErrorModel) -> float:
     """eps_d(x) = exp(-vartheta log x / log|dD|) + exp(-sqrt(vartheta log x))."""
-    if d < 1 or x < 3:
-        raise ValueError("remainder_eps requires d >= 1 and x >= 3")
-    logx = math.log(x)
+    message = "remainder_eps requires d >= 1 and x >= 3"
+    if d < 1:
+        raise ValueError(message)
+    logx = checked_log(x, 3, message)
     log_dD = math.log(max(d * m.D_K * max(m.Qcal, 1.0), 3.0))
     return math.exp(-m.vartheta * logx / log_dD) + math.exp(
         -math.sqrt(m.vartheta * logx)
@@ -311,6 +293,8 @@ def remainder_eps(d: int, x: float, m: ErrorModel) -> float:
 
 def remainder_R(x: float, R: float, P: int, m: ErrorModel) -> float:
     """Sum over d | P with d < R^2 of (tau(d)/phi(d)) * eps_d(x)."""
+    check_finite(x)  # remainder_eps checks it too, but no d may reach it
+    check_finite(R, "R")
     total = 0.0
     for d in divisors(P):
         if d >= R * R:
@@ -321,6 +305,5 @@ def remainder_R(x: float, R: float, P: int, m: ErrorModel) -> float:
 
 def level_of_distribution(z: float, m: ErrorModel) -> float:
     """R = z^{(1/sqrt(eta_thm)) log log z}."""
-    if z < 3 or math.log(math.log(z)) <= 0:
-        raise ValueError("level_of_distribution requires log log z > 0")
-    return z ** (math.log(math.log(z)) / math.sqrt(m.eta_thm))
+    log_z = checked_log(z, 3, "level_of_distribution requires log log z > 0", "z")
+    return z ** (math.log(log_z) / math.sqrt(m.eta_thm))

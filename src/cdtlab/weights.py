@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from math import comb, fsum
 
-from .arith import check_finite
+from .arith import checked_log
 
 __all__ = ["WeightParams", "WeightFunction", "laplace_F", "verify_bounds"]
 
@@ -35,9 +35,7 @@ class WeightParams:
     ell: int
 
     def __post_init__(self):
-        check_finite(self.x)
-        if self.x < 3:
-            raise ValueError("x must be >= 3")
+        checked_log(self.x, 3, "x must be >= 3")
         if not 0 < self.epsilon < 0.25:
             raise ValueError("epsilon must lie in (0, 1/4)")
         if self.ell < 1:

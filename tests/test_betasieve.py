@@ -61,8 +61,25 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"^level R must be a finite number, got {R}$"):
             bs.SieveSpec(z=8.0, R=R, kind="upper", support=(3,))
 
+    def test_rejects_kappa_past_float_range(self):
+        # beta = 9 kappa + 1 would be inf, which JSON cannot carry
+        message = r"^kappa = 1e\+308 puts 9 kappa \+ 1 past the float range$"
+        with pytest.raises(ValueError, match=message):
+            bs.SieveSpec(z=8.0, R=1e10, kind="upper", kappa=1e308, support=(3,))
+
 
 class TestWeights:
+    @pytest.mark.parametrize(
+        "kind, lam",
+        [("upper", {1: 1}), ("lower", {1: 1, 3: -1, 5: -1, 7: -1})],
+    )
+    def test_power_past_float_range_truncates(self, kind, lam):
+        # p^(beta + 1) is past the float range at kappa = 200, so above R:
+        # the truncation binds at the first prime it tests, as at kappa = 40
+        for kappa in (40.0, 200.0):
+            spec = bs.SieveSpec(z=8.0, R=1e10, kind=kind, kappa=kappa, support=(3, 5, 7))
+            assert bs.beta_sieve_weights(spec).lam == lam
+
     def test_lambda_is_mobius(self):
         spec = bs.SieveSpec(z=20.0, R=1e6, kind="upper", support=(2, 3, 5, 7, 11, 13, 17, 19))
         w = bs.beta_sieve_weights(spec)
@@ -191,14 +208,16 @@ class TestCompositionBounds:
         return spec_small, spec_big, dens
 
     def test_dimension_condition_over_both_supports(self):
+        # the theorem sifts both sieves by one set of primes
         spec_small, spec_big, dens = self.mixed_supports(5.0)
         for pair in ((spec_small, spec_big), (spec_big, spec_small)):
-            rep = bs.composition_bounds_check(*pair, dens)
-            assert rep.smallest_K == pytest.approx(4.5933, abs=1e-4)
-        spec_small, spec_big, dens = self.mixed_supports(4.0)
-        for pair in ((spec_small, spec_big), (spec_big, spec_small)):
-            with pytest.raises(ValueError, match=r"^sieve dimension condition fails for K = 4\.0"):
+            with pytest.raises(ValueError, match=r"^both sieves must share one support: "):
                 bs.composition_bounds_check(*pair, dens)
+        rep = bs.composition_bounds_check(spec_big, spec_big, dens)
+        assert rep.smallest_K == 4.593333995895476
+        _, spec_big, dens = self.mixed_supports(4.0)
+        with pytest.raises(ValueError, match=r"^sieve dimension condition fails for K = 4\.0"):
+            bs.composition_bounds_check(spec_big, spec_big, dens)
 
     def test_unsupported_kinds_rejected_first(self, monkeypatch):
         spec1, spec2, dens = self.make("upper", "lower")

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +124,15 @@ class TestSieve:
         assert data["lambda"]["1"] == 1
         assert data["lambda"]["105"] == -1
 
+    def test_power_past_float_range(self, capsys):
+        # p^(beta + 1) overflows a float; it lies above R, as at --kappa 40
+        code, out = run(
+            capsys, "sieve", "--z", "8", "--R", "1e10", "--support", "3,5,7", "--kappa", "200"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["beta"] == 1801.0 and data["lambda"] == {"1": 1}
+
     def test_bad_kind(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sieve", "--z", "8", "--R", "100", "--kind", "diagonal",
@@ -139,9 +150,11 @@ class TestSieve:
             (["--z", "8", "--support", "3", "--kappa", "nan"], "kappa must be a finite number, got nan"),
             (["--z", "8", "--support", "3", "--kappa", "inf"], "kappa must be a finite number, got inf"),
             (["--z", "8", "--support", "3", "--kappa", "-1"], "kappa must be >= 0, got -1.0"),
+            (["--z", "8", "--support", "3", "--kappa", "1e308"],
+             "kappa = 1e+308 puts 9 kappa + 1 past the float range"),
         ],
         ids=["composite-support", "z-one", "repeated-support", "R-inf", "R-nan", "kappa-nan",
-             "kappa-inf", "kappa-negative"],
+             "kappa-inf", "kappa-negative", "kappa-past-float"],
     )
     def test_bad_spec_rejected(self, capsys, argv, message):
         assert main(["sieve", "--R", "1e10", *argv]) == 2
@@ -283,6 +296,12 @@ class TestBounds:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("x,") and len(lines) > 5
 
+    def test_siegel_out_of_range(self, capsys):
+        # Q = 12: x = 1e12 lies below Q^36
+        code, out = run(capsys, "bounds", "--x", "1e12", "--beta1", "0.999")
+        assert code == 0
+        assert json.loads(out)["siegel"] == "out of range: siegel_error requires x >= Q^36.0"
+
     def test_siegel_warning_one_line(self, capsys):
         code = main(["bounds", "--x", "1e12", "--beta1", "0.999"])
         err = capsys.readouterr().err
@@ -298,13 +317,16 @@ class TestBounds:
             (["--x", "inf"], "x must be a finite number, got inf"),
             (["--x", "1e12", "--D-K", "nan"], "D_K must be a finite number, got nan"),
             (["--x", "1e12", "--Q-cal", "inf"], "Qcal must be a finite number, got inf"),
+            (["--x", "1e12", "--n-K", "200"], "Q must be a finite number, got inf"),
+            (["--x", "1e12", "--D-K", "1e308", "--Q-cal", "10"],
+             "Q must be a finite number, got inf"),
             (["--x", "1e12", "--beta1", "0.5"], "beta1 must lie in (1/2, 1)"),
             (["--x", "1e12", "--beta1", "0.9", "--theta1", "0"],
              "theta1 = 0 exactly when beta1 is absent"),
             (["--x", "1e12", "--beta1", "0.9", "--theta1", "2"], "theta1 must be -1, 0 or +1"),
         ],
-        ids=["n-K-zero", "x-nan", "x-inf", "D-K-nan", "Q-cal-inf", "beta1-half", "theta1-zero",
-             "theta1-two"],
+        ids=["n-K-zero", "x-nan", "x-inf", "D-K-nan", "Q-cal-inf", "Q-past-int-float",
+             "Q-past-float", "beta1-half", "theta1-zero", "theta1-two"],
     )
     def test_bad_input_rejected(self, capsys, argv, message):
         assert main(["bounds", *argv]) == 2
@@ -498,3 +520,55 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["h"] == 3
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each `cdtlab` line in README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [
+        shlex.split(line.split("#")[0])[1:]
+        for line in readme.splitlines()
+        if line.startswith("cdtlab ")
+    ]
+
+
+# argv at the edges of each command's domain: each prints strict JSON or
+# nothing, with one error line
+EDGE_ARGV = [
+    ["bounds", "--x", "1e12", "--D-K", "1e8"],
+    ["bounds", "--x", "1e12", "--n-K", "200"],
+    ["bounds", "--x", "1e12", "--D-K", "1e308", "--Q-cal", "10"],
+    ["bounds", "--x", "1e300", "--D-K", "1", "--beta1", "0.99999999"],
+    ["bounds", "--x", "1e220", "--D-K", "1", "--beta1", "0.999", "--theta1", "-1"],
+    ["sieve", "--z", "8", "--R", "1e10", "--support", "3,5,7", "--kappa", "200"],
+    ["sieve", "--z", "8", "--R", "1e10", "--support", "3,5,7", "--kappa", "1e308"],
+    ["sieve", "--z", "8", "--R", "inf", "--support", "3"],
+    ["weights", "--x", "1e205", "--epsilon", "0.05", "--ell", "200"],
+    ["count", "1", "1", "6", "-inf"],
+]
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [a for a in _readme_commands() if a[0] != "verify"] + EDGE_ARGV,
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_stdout_is_strict_json(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+        else:
+            json.loads(captured.out, parse_constant=not_json)
+
+    def test_readme_has_the_commands(self):
+        assert {a[0] for a in _readme_commands()} >= {
+            "classnum", "count", "delta", "sieve", "weights", "bounds", "experiment",
+        }

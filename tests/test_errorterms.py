@@ -152,8 +152,9 @@ class TestClosedForms:
         with pytest.raises(et.ConfigurationError):
             et.siegel_error(1e40, big)
         small_x = replace(m, beta1=1 - 0.001 / m.log_Q, theta1=1)
-        with pytest.raises(et.ConfigurationError):
-            et.siegel_error(1e40, small_x)  # Q = 1e3 > x^(1/36)
+        # Q = 1e3 > x^(1/36)
+        with pytest.raises(et.ConfigurationError, match=r"^siegel_error requires x >= Q\^36\.0$"):
+            et.siegel_error(1e40, small_x)
 
 
 class TestMainTermFloor:
@@ -166,6 +167,8 @@ class TestMainTermFloor:
         # no exceptional zero
         out = et.main_term_floor(x, m)
         assert out["case"] == "no_zero" and out["actual"] == x
+        # actual = case bound = floor = x
+        assert out["implied_constant"] == out["floor_constant"] == 1.0
         # theta1 = +1, lambda(x) < 1: tight case, implied constant near 1
         m1 = replace(m, beta1=1 - 0.01 / math.log(x), theta1=1)
         out1 = et.main_term_floor(x, m1)
@@ -193,6 +196,46 @@ class TestMainTermFloor:
         # Q^(36 c_ZDE) = 12^360 is no float: it lies above every float x
         with pytest.raises(et.ConfigurationError, match=r"^main_term_floor requires x >= Q\^360$"):
             et.main_term_floor(1e300, et.ErrorModel())
+
+
+# each function with the name of its real argument and a call putting v there
+REAL_ARGUMENT = {
+    "delta_zfr": ("t", et.delta_zfr),
+    "delta_repulsion": ("t", et.delta_repulsion),
+    "combined_delta": ("t", et.combined_delta),
+    "B1": ("T", et.B1),
+    "eta": ("x", et.eta),
+    "classical_error": ("x", et.classical_error),
+    "thm11_error": ("x", et.thm11_error),
+    "siegel_error": ("x", et.siegel_error),
+    "main_term_floor": ("x", et.main_term_floor),
+    "remainder_eps": ("x", lambda v, m: et.remainder_eps(1, v, m)),
+    "remainder_R": ("x", lambda v, m: et.remainder_R(v, 1.0, 30, m)),
+    "level_of_distribution": ("z", et.level_of_distribution),
+}
+
+
+class TestDomain:
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("function", sorted(REAL_ARGUMENT))
+    def test_non_finite_argument_rejected(self, function, v):
+        # an exceptional zero small enough for the Siegel regimes
+        m = model_with_Q(30.0, 2, beta1=1 - 0.001 / math.log(30.0), theta1=1)
+        name, call = REAL_ARGUMENT[function]
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {v}$"):
+            call(v, m)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_level_rejected(self, R):
+        with pytest.raises(ValueError, match=f"^R must be a finite number, got {R}$"):
+            et.remainder_R(1e10, R, 30, model_with_Q(1e3, 2))
+
+    @pytest.mark.parametrize(
+        "D_K, n_K", [(1e308, 2), (1.0, 200)], ids=["float-product", "int-power"]
+    )
+    def test_Q_past_float_range_rejected(self, D_K, n_K):
+        with pytest.raises(ValueError, match="^Q must be a finite number, got inf$"):
+            et.ErrorModel(D_K=D_K, n_K=n_K, Qcal=10.0)
 
 
 class TestRemainders:
