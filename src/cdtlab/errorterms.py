@@ -74,6 +74,12 @@ class ErrorModel:
     def __post_init__(self):
         check_finite(self.D_K, "D_K")
         check_finite(self.Qcal, "Qcal")
+        for name in ("c_ZFR", "c_DH", "c_Stark", "vartheta", "eta_thm", "c_1",
+                     "c_SZ_err", "c_SZ_size", "c_SZ_lambda"):
+            value = getattr(self, name)
+            check_finite(value, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if self.n_K < 1:
             raise ValueError(f"n_K must be an integer >= 1, got {self.n_K}")
         if self.c_ZDE < 1:
@@ -171,7 +177,7 @@ def stark_floor(m: ErrorModel) -> float:
 
 def eta(x: float, m: ErrorModel) -> float:
     """inf over t >= 3 of [Delta(t) log x + log t] with the combined
-    zero-free width; grid scan plus local refinement, accuracy ~1e-9."""
+    zero-free width: a 2000-point grid in log t, then golden-section search."""
     logx = checked_log(x, 2, "eta requires x >= 2")
 
     def phi(u: float) -> float:
@@ -185,12 +191,14 @@ def eta(x: float, m: ErrorModel) -> float:
     i = min(range(n + 1), key=vals.__getitem__)
     a = us[max(i - 1, 0)]
     b = us[min(i + 1, n)]
-    from scipy import optimize
-
-    res = optimize.minimize_scalar(
-        phi, bounds=(a, b), method="bounded", options={"xatol": 1e-12}
-    )
-    return min(res.fun, vals[0], vals[-1])
+    g = (math.sqrt(5) - 1) / 2
+    best = vals[i]  # the grid's minimum, at most the ends vals[0] and vals[-1]
+    while b - a > 1e-12:  # golden section: keep the side of the lower inner point
+        c, d = b - g * (b - a), a + g * (b - a)
+        fc, fd = phi(c), phi(d)
+        best = min(best, fc, fd)
+        a, b = (a, d) if fc < fd else (c, b)
+    return best
 
 
 def classical_error(x: float, m: ErrorModel) -> float:
@@ -295,6 +303,8 @@ def remainder_R(x: float, R: float, P: int, m: ErrorModel) -> float:
     """Sum over d | P with d < R^2 of (tau(d)/phi(d)) * eps_d(x)."""
     check_finite(x)  # remainder_eps checks it too, but no d may reach it
     check_finite(R, "R")
+    if R < 0:  # d < R^2 would read R as |R|
+        raise ValueError(f"R must be >= 0, got {R}")
     total = 0.0
     for d in divisors(P):
         if d >= R * R:

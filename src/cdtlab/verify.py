@@ -12,6 +12,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from . import arith, betasieve, chebotarev, densities, errorterms, quadforms, weights
 
 Check = tuple[str, bool, str]
@@ -135,10 +137,13 @@ def _check_weights() -> list[Check]:
     p = weights.WeightParams(x=1e5, epsilon=0.05, ell=4)
     w = weights.WeightFunction(p)
     ok = abs(weights.laplace_F(0.0, p).real - w.mass()) < 1e-12
-    from scipy.integrate import quad
-
-    lo, hi = w.support
-    mass, _ = quad(w, lo, hi, limit=200)
+    # a polynomial of degree ell between the knots 1/2 - 2kA and 1 + 2kA, so
+    # ell // 2 + 1 Gauss-Legendre nodes integrate each piece exactly
+    nodes, gw = np.polynomial.legendre.leggauss(p.ell // 2 + 1)
+    ks = range(p.ell + 1)
+    knots = sorted({0.5 - 2 * k * p.A for k in ks} | {1 + 2 * k * p.A for k in ks})
+    mass = sum((b - a) / 2 * np.dot(gw, [w((a + b + (b - a) * s) / 2) for s in nodes])
+               for a, b in zip(knots, knots[1:]))
     ok &= abs(mass - w.mass()) < 1e-9
     rep = weights.verify_bounds(p)
     ok &= rep["ok"]

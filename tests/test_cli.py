@@ -496,19 +496,34 @@ class TestUsage:
             "error: x must exceed 2, since Li(2) = 0; got x = 2.0"
         ]
 
-    def test_no_scipy_on_the_count_path(self):
-        # a fresh interpreter: other tests import scipy in this one
+    def test_no_scipy_in_any_command(self, tmp_path):
+        # a fresh interpreter, without the suite's block on scipy: no
+        # subcommand and not the bridge may load it
         code = """
 import contextlib, io, sys
 from cdtlab import chebotarev, cli, quadforms
+commands = [
+    ["classnum", "-23"],
+    ["count", "1", "1", "6", "1e5"],
+    ["count", "1", "1", "6", "1e5", "--per-class"],
+    ["delta", "1", "0", "1", "--modulus", "15015"],
+    ["sieve", "--z", "8", "--R", "1e10", "--support", "3,5,7"],
+    ["weights", "--x", "1e5", "--epsilon", "0.05", "--ell", "4"],
+    ["bounds", "--x", "1e12", "--beta1", "0.999", "--csv", sys.argv[1]],
+    ["experiment", "1", "0", "1", "--modulus", "15015", "--x", "1e5"],
+    ["verify", "--full"],
+]
+subcommands = cli.build_parser()._subparsers._group_actions[0].choices  # no public list
+assert {argv[0] for argv in commands} == set(subcommands)
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["count", "1", "1", "6", "1e5"]) == 0
-    assert cli.main(["experiment", "1", "0", "1", "--modulus", "15015", "--x", "1e5"]) == 0
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
 chebotarev.bridge_check(quadforms.Form(1, 1, 6), 1e4)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-c", code, str(tmp_path / "sweep.csv")],
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -214,6 +214,10 @@ REAL_ARGUMENT = {
     "level_of_distribution": ("z", et.level_of_distribution),
 }
 
+# the explicit constants of ErrorModel: each must be a finite number > 0
+CONSTANTS = ["c_ZFR", "c_DH", "c_Stark", "vartheta", "eta_thm", "c_1", "c_SZ_err",
+             "c_SZ_size", "c_SZ_lambda"]
+
 
 class TestDomain:
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf], ids=str)
@@ -229,6 +233,20 @@ class TestDomain:
     def test_non_finite_level_rejected(self, R):
         with pytest.raises(ValueError, match=f"^R must be a finite number, got {R}$"):
             et.remainder_R(1e10, R, 30, model_with_Q(1e3, 2))
+
+    def test_negative_level_rejected(self):
+        # d < R^2 read R = -3 as 3 (0.0544...)
+        with pytest.raises(ValueError, match=r"^R must be >= 0, got -3.0$"):
+            et.remainder_R(1e10, -3.0, 30, et.ErrorModel())
+        assert et.remainder_R(1e10, 0.0, 30, et.ErrorModel()) == 0.0
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, 0.0, -1.0], ids=str)
+    @pytest.mark.parametrize("field", CONSTANTS)
+    def test_constant_rejected(self, field, v):
+        rule = "be > 0" if math.isfinite(v) else "be a finite number"
+        message = f"{field} must {rule}, got {v}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            et.ErrorModel(**{field: v})
 
     @pytest.mark.parametrize(
         "D_K, n_K", [(1e308, 2), (1.0, 200)], ids=["float-product", "int-power"]

@@ -1,39 +1,35 @@
 import cmath
 import math
 import random
+from fractions import Fraction
+from math import comb, factorial
 
+import mpmath
 import pytest
-from scipy.integrate import quad
 
 from cdtlab import weights as wt
 
 
-def transform_by_quadrature(z: complex, params: wt.WeightParams) -> complex:
-    """Independent oracle: integrate f(t) e^{-zt} over the support with
-    breakpoints at every polynomial knot."""
-    f = wt.WeightFunction(params)
-    lo, hi = f.support
+def knots(params: wt.WeightParams) -> list[float]:
+    """The weight's polynomial knots 1/2 - 2kA and 1 + 2kA, k = 0..ell."""
     twoA = 2 * params.A
-    knots = sorted(
-        {lo, hi, 0.5, 1.0 + params.ell * twoA}
-        | {0.5 - k * twoA for k in range(params.ell + 1)}
-        | {1.0 + params.ell * twoA - k * twoA for k in range(params.ell + 1)}
-    )
-    knots = [t for t in knots if lo - 1e-15 <= t <= hi + 1e-15]
-    re = 0.0
-    im = 0.0
-    for a, b in zip(knots, knots[1:]):
-        r, _ = quad(
-            lambda t: f(t) * math.exp(-z.real * t) * math.cos(-z.imag * t),
-            a, b, limit=300, epsabs=1e-12, epsrel=1e-12,
-        )
-        i, _ = quad(
-            lambda t: f(t) * math.exp(-z.real * t) * math.sin(-z.imag * t),
-            a, b, limit=300, epsabs=1e-12, epsrel=1e-12,
-        )
-        re += r
-        im += i
-    return complex(re, im)
+    steps = range(params.ell + 1)
+    return sorted({0.5 - k * twoA for k in steps} | {1.0 + k * twoA for k in steps})
+
+
+def transform_by_quadrature(z: complex, params: wt.WeightParams) -> complex:
+    """Independent oracle: mpmath's quadrature of f(t) e^{-zt}, one piece
+    between each pair of the weight's polynomial knots."""
+    f = wt.WeightFunction(params)
+    return complex(mpmath.quad(lambda t: f(float(t)) * mpmath.exp(-z * t), knots(params)))
+
+
+def irwin_hall_exact(u: float, ell: int) -> Fraction:
+    """The Irwin-Hall CDF at the float u, in exact rationals: the
+    alternating sum with u = N/D cleared of denominators."""
+    N, D = u.as_integer_ratio()
+    S = sum((-1) ** k * comb(ell, k) * (N - k * D) ** ell for k in range(N // D + 1))
+    return Fraction(S, D**ell * factorial(ell))
 
 
 class TestParams:
@@ -79,9 +75,25 @@ class TestWeightFunction:
     def test_mass_quadrature(self):
         p = wt.WeightParams(x=1e5, epsilon=0.05, ell=4)
         f = wt.WeightFunction(p)
-        mass, _ = quad(f, *f.support, limit=300)
+        mass = float(mpmath.quad(lambda t: f(float(t)), knots(p)))
         assert mass == pytest.approx(f.mass(), abs=1e-10)
         assert f.mass() == pytest.approx(0.5 + 0.05 / math.log(1e5))
+
+    @pytest.mark.parametrize("ell, tol", [(8, 1e-11), (16, 1e-11), (32, 1e-11), (64, 1e-6)])
+    def test_irwin_hall_vs_exact(self, ell, tol):
+        # the plain alternating sum missed by 1.1 at ell = 32 and 4e17 at 64
+        us = [ell * i / 2000 for i in range(2001)]
+        err = max(abs(Fraction(wt._irwin_hall_cdf(u, ell)) - irwin_hall_exact(u, ell)) for u in us)
+        assert err <= tol
+
+    @pytest.mark.parametrize("ell", [32, 40, 64])
+    def test_values_in_unit_interval(self, ell):
+        p = wt.WeightParams(x=1e100, epsilon=0.2, ell=ell)
+        f = wt.WeightFunction(p)
+        ts = knots(p)
+        for a, b in zip(ts, ts[1:]):
+            for i in range(9):
+                assert -1e-12 <= f(a + (b - a) * i / 8) <= 1 + 1e-12
 
     def test_degree_cap(self):
         p = wt.WeightParams(x=1e200, epsilon=0.2, ell=80)
