@@ -247,25 +247,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out = []
-    for p in (2, 3, 5):
+    p = 2
+    while p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out.append((f, e))
-        f += wheel[i]
-        i = (i + 1) % 8
+        p += 1 if p == 2 else 2
     if n > 1:
         out.append((n, 1))
     return out

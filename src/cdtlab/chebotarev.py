@@ -312,20 +312,12 @@ def pi_class_scan(target: Form, x: float) -> int:
     return total
 
 
-def _li_above_2(x: float) -> float:
-    """Li(x) for a report that divides by it: x <= 2 is rejected."""
-    check_finite(x)
-    if x <= 2:
-        raise ValueError(f"x must exceed 2, since Li(2) = 0; got x = {x}")
-    return li(x)
-
-
 def equidistribution_report(D: int, x: float, workers: int = 1) -> dict:
     """Per-class prime-ideal counts against the common target Li(x)/h.
     A class and its inverse share one lattice pass: f(u, -v) carries the
     values of (a, b, c) to those of (a, -b, c)."""
     cl = class_representatives(D)
-    expected = _li_above_2(x) / cl.h
+    expected = main_term(x, cl.h)
     rows = []
     worst = 0.0
     counts = {}
@@ -429,10 +421,13 @@ def psi_class_smooth(target: Form, params: WeightParams) -> float:
 
 
 def main_term(x: float, h: int, model: ErrorModel | None = None) -> float:
-    """(Li(x) - theta1 * Li(x^beta1)) / h; the exceptional-zero secondary
-    term only appears when the model carries a zero beta1."""
+    """(Li(x) - theta1 * Li(x^beta1)) / h for x > 2 (Li(2) = 0); the
+    exceptional-zero term only appears when the model carries a zero beta1."""
     if h < 1:
         raise ValueError("class number must be >= 1")
+    check_finite(x)
+    if x <= 2:
+        raise ValueError(f"x must exceed 2, since Li(2) = 0; got x = {x}")
     out = li(x)
     if model is not None and model.beta1 is not None:
         out -= model.theta1 * li(x**model.beta1)
@@ -527,7 +522,7 @@ def congruence_sum_predicted(
         for p in P.prime_factors:
             if d % p == 0:
                 dens *= g_fn(p, f, P)
-    value = float(dens) * li(x) / h
+    value = float(dens) * main_term(x, h)
     budget = None
     if model is not None:
         budget = remainder_R(x, math.sqrt(d1 * d2) + 1, d1 * d2, model)
@@ -612,7 +607,7 @@ def theorem15_experiment(
     count = _lattice_sum(f, x, _coprime_residues(2 * P.P), coprime, coprime, workers)
     lhs = count / stab_order(D)
     dens = float(delta_f(f, P))
-    rhs = dens * _li_above_2(x) / h
+    rhs = dens * main_term(x, h)
     rel = None if dens == 0 else abs(lhs - rhs) / rhs
     passed = lhs == 0.0 if dens == 0 else rel <= tolerance
     return ExperimentReport(

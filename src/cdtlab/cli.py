@@ -166,11 +166,11 @@ def _cmd_bounds(args) -> int:
             out[key] = f"out of range: {exc}"
     if args.csv:
         rows = []
-        x = 10.0
-        while x <= args.x:
+        k = 1
+        while (x := float(f"1e{k}")) <= args.x:  # the float nearest 10^k, unlike 10.0 ** k
             e = errorterms.eta(x, model)
             rows.append([x, e, math.exp(-e), errorterms.classical_error(x, model)])
-            x *= 10.0
+            k += 1
         _write_csv(args.csv, ["x", "eta", "exp_neg_eta", "classical_error"], rows)
     _emit(out, args)
     return 0

@@ -84,11 +84,7 @@ class ErrorModel:
             raise ValueError(f"n_K must be an integer >= 1, got {self.n_K}")
         if self.c_ZDE < 1:
             raise ValueError("c_ZDE must be an integer >= 1")
-        try:
-            Q = self.Q
-        except OverflowError:  # n_K^n_K past the float range
-            Q = math.inf
-        checked_log(Q, 2, "bound evaluations need Q >= 2", "Q")
+        checked_log(self.Q, 2, "bound evaluations need Q >= 2", "Q")
         if (self.beta1 is None) != (self.theta1 == 0):
             raise ValueError("theta1 = 0 exactly when beta1 is absent")
         if self.beta1 is not None and not 0.5 < self.beta1 < 1:
@@ -98,16 +94,11 @@ class ErrorModel:
 
     @property
     def Q(self) -> float:
-        return self.D_K * self.Qcal * self.n_K**self.n_K
+        return self.D_K * self.Qcal * power_or_inf(float(self.n_K), self.n_K)
 
     @property
     def log_Q(self) -> float:
         return math.log(self.Q)
-
-
-def _log_QT(log_t: float, m: ErrorModel) -> float:
-    """log(Q t^n_K), the analytic conductor at height t."""
-    return m.log_Q + m.n_K * log_t
 
 
 def _log_in_range(x: float, k: float, m: ErrorModel, caller: str) -> float:
@@ -122,37 +113,38 @@ def _two_term(logx: float, a: float, b: float, m: ErrorModel) -> float:
     return math.exp(-a * logx / m.log_Q) + math.exp(-math.sqrt(b * logx / m.n_K))
 
 
+def _widths(log_t: float, m: ErrorModel) -> tuple[float, float, float]:
+    """(B1, zero-free width, repulsion width) at height t, from log t: the
+    analytic conductor L = log(Q t^n_K) is never exponentiated."""
+    L = m.log_Q + m.n_K * log_t
+    if m.beta1 is None:
+        return 1.0, m.c_ZFR / L, 0.0
+    lam = min(1.0, (1 - m.beta1) * L)
+    return lam, m.c_ZFR / L, 0.0 if lam >= 1 else min(0.5, m.c_DH * math.log(1 / lam) / L)
+
+
 def delta_zfr(t: float, m: ErrorModel) -> float:
     """Classical zero-free-region width c_ZFR / log(Q t^n_K) at height t."""
-    log_t = checked_log(t, 3, "delta_zfr requires t >= 3", "t")
-    return m.c_ZFR / _log_QT(log_t, m)
+    return _widths(checked_log(t, 3, "delta_zfr requires t >= 3", "t"), m)[1]
 
 
 def delta_repulsion(t: float, m: ErrorModel) -> float:
-    """Repulsion width min{1/2, c_DH log(1/((1-b1) log(Q t^n)))/log(Q t^n)}."""
+    """Repulsion width min{1/2, c_DH log(1/((1-b1) log(Q t^n)))/log(Q t^n)},
+    0 where (1 - b1) log(Q t^n) >= 1."""
     if m.beta1 is None:
         raise ConfigurationError("delta_repulsion requires an exceptional zero beta1")
-    log_t = checked_log(t, 3, "delta_repulsion requires t >= 3", "t")
-    lam = B1(t, m)  # (1 - b1) log(Q t^n), capped at 1
-    if lam >= 1:
-        return 0.0
-    return min(0.5, m.c_DH * math.log(1 / lam) / _log_QT(log_t, m))
+    return _widths(checked_log(t, 3, "delta_repulsion requires t >= 3", "t"), m)[2]
 
 
 def combined_delta(t: float, m: ErrorModel) -> float:
-    base = delta_zfr(t, m)
-    if m.beta1 is not None:
-        return max(base, delta_repulsion(t, m))
-    return base
+    """The larger of the two widths; the zero-free one without a zero."""
+    return max(_widths(checked_log(t, 3, "combined_delta requires t >= 3", "t"), m)[1:])
 
 
 def B1(T: float, m: ErrorModel) -> float:
     """Density-estimate factor min{1, (1 - beta1) log(Q T^n_K)}; 1 without
     an exceptional zero."""
-    log_T = checked_log(T, 1, "B1 requires T >= 1", "T")
-    if m.beta1 is None:
-        return 1.0
-    return min(1.0, (1 - m.beta1) * _log_QT(log_T, m))
+    return _widths(checked_log(T, 1, "B1 requires T >= 1", "T"), m)[0]
 
 
 def nu1(m: ErrorModel) -> float:
@@ -180,8 +172,8 @@ def eta(x: float, m: ErrorModel) -> float:
     zero-free width: a 2000-point grid in log t, then golden-section search."""
     logx = checked_log(x, 2, "eta requires x >= 2")
 
-    def phi(u: float) -> float:
-        return combined_delta(math.exp(u), m) * logx + u
+    def phi(u: float) -> float:  # u = log t; t = e^u may be past the float range
+        return max(_widths(u, m)[1:]) * logx + u
 
     u_lo = math.log(3.0)
     u_hi = max(u_lo + 1.0, 10.0 * math.sqrt(m.c_ZFR * logx / m.n_K))
@@ -314,6 +306,7 @@ def remainder_R(x: float, R: float, P: int, m: ErrorModel) -> float:
 
 
 def level_of_distribution(z: float, m: ErrorModel) -> float:
-    """R = z^{(1/sqrt(eta_thm)) log log z}."""
+    """R = z^{(1/sqrt(eta_thm)) log log z}, or inf past the float range,
+    above every d."""
     log_z = checked_log(z, 3, "level_of_distribution requires log log z > 0", "z")
-    return z ** (math.log(log_z) / math.sqrt(m.eta_thm))
+    return power_or_inf(z, math.log(log_z) / math.sqrt(m.eta_thm))

@@ -112,23 +112,20 @@ class WeightFunction:
         return 0.5 + self.params.epsilon / self.params.log_x
 
 
-_SERIES_CUTOFF = 1e-4
-
-
 def _em(u: complex) -> complex:
-    """(e^u - 1)/u, via a 10-term series when |u| is tiny."""
-    if abs(u) < _SERIES_CUTOFF:
-        total = 1.0 + 0j
-        term = 1.0 + 0j
-        for k in range(2, 12):
-            term *= u / k
-            total += term
-        return total
-    return (cmath.exp(u) - 1.0) / u
+    """(e^u - 1)/u, e^(a+ib) - 1 taken as expm1(a) cos b - 2 sin^2(b/2)
+    + i e^a sin b, free of cancellation near 0 (Higham 2002, 1.14.1)."""
+    if u == 0:
+        return 1.0
+    a, b = u.real, u.imag
+    return complex(math.expm1(a) * math.cos(b) - 2 * math.sin(b / 2) ** 2,
+                   math.exp(a) * math.sin(b)) / u
 
 
 def laplace_F(z: complex, params: WeightParams) -> complex:
-    """Entire Laplace transform of the weight; relative error <= 1e-12."""
+    """Entire Laplace transform of the weight.  Relative error against a
+    50-digit mpmath oracle: below 2e-14 for |z| <= 100 at ell = 3, 4, 8
+    and 40; past that it grows with |z|, as the conditioning of e^z does."""
     p = params
     twolA = 2 * p.ell * p.A
     L0 = 0.5 + twolA

@@ -159,6 +159,25 @@ class TestMultiplicative:
             m *= p**e
         assert m == n
 
+    def test_factorize_vs_every_divisor(self):
+        def oracle(n):  # trial division by every d >= 2, prime or not
+            out, d = [], 2
+            while d * d <= n:
+                e = 0
+                while n % d == 0:
+                    n, e = n // d, e + 1
+                if e:
+                    out.append((d, e))
+                d += 1
+            return out + [(n, 1)] * (n > 1)
+
+        rng = random.Random(7)
+        ns = [rng.randrange(1, 10**7) for _ in range(2000)]
+        # 3 * 5 * 7 * 11 * 13, the primorial 23#, 10-digit primes, 99991^2
+        ns += [1, 2, 4, 15015, 223092870, 1000000007, 9999999967, 99991**2]
+        for n in ns:
+            assert arith.factorize(n) == oracle(n), n
+
     @given(st.integers(min_value=1, max_value=3000))
     @settings(max_examples=100, deadline=None)
     def test_phi_sum(self, n):

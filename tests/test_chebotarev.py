@@ -208,6 +208,7 @@ class TestCounting:
         assert peak < 1 << 20
 
     def test_equidistribution_report(self):
+        assert ch.equidistribution_report(-23, 1e6)["expected"] == ch.main_term(1e6, 3)
         rep = ch.equidistribution_report(-23, 1e5)
         assert rep["h"] == 3
         assert rep["max_rel_error"] < 0.05
@@ -756,6 +757,9 @@ class TestExperiment:
         assert rep.density == float(de.delta_f(f, P)) == 0.25  # (1 - 2/4)^2
         assert not rep.trivially_true
         assert rep.rhs == rep.density * li(1e5)
+        # h = 3: dens * (Li/h), not (dens * Li)/h, which is 1 ulp off here
+        rep = ch.theorem15_experiment(qf.Form(1, 1, 6), P, 1e5)
+        assert rep.rhs == rep.density * ch.main_term(1e5, 3) == 1069.8626485856316
 
     def test_vanishing_density_without_obstruction(self):
         # (4, 3, 5), D = -71 = 1 (mod 3): 3 splits and divides neither a nor
@@ -769,10 +773,15 @@ class TestExperiment:
 
     @pytest.mark.parametrize("x", [2, 1.5])
     def test_x_at_most_two_rejected(self, x):
-        # Li(2) = 0, and both reports divide by Li(x)
+        # Li(2) = 0, and every report divides by Li(x) through main_term
         message = f"^x must exceed 2, since Li\\(2\\) = 0; got x = {x}$"
         f = qf.Form(1, 0, 1)
+        P = de.SievingModulus.from_int(15)
         with pytest.raises(ValueError, match=message):
-            ch.theorem15_experiment(f, de.SievingModulus.from_int(15), x)
+            ch.theorem15_experiment(f, P, x)
         with pytest.raises(ValueError, match=message):
             ch.equidistribution_report(-4, x)
+        with pytest.raises(ValueError, match=message):
+            ch.congruence_sum_predicted(f, 3, 5, x, P)
+        with pytest.raises(ValueError, match=message):
+            ch.main_term(x, 1)

@@ -296,6 +296,14 @@ class TestBounds:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("x,") and len(lines) > 5
 
+    def test_csv_rows_on_the_decades(self, capsys, tmp_path):
+        # each x the float nearest 10^k, up to and including --x
+        path = tmp_path / "sweep.csv"
+        code, _ = run(capsys, "bounds", "--x", "1e300", "--csv", str(path))
+        assert code == 0
+        xs = [float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+        assert xs == [float("1e%d" % k) for k in range(1, 301)]
+
     def test_siegel_out_of_range(self, capsys):
         # Q = 12: x = 1e12 lies below Q^36
         code, out = run(capsys, "bounds", "--x", "1e12", "--beta1", "0.999")

@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cdtlab import errorterms as et
@@ -99,6 +100,15 @@ class TestEta:
                 for t in [3.0 * 1.01**k for k in range(4000)]
             )
             assert et.eta(x, m) <= oracle + 1e-9
+
+    @pytest.mark.parametrize("x, c_ZFR", [(1e12, 1000.0), (1e300, 50.0)])
+    def test_grid_past_float_range(self, x, c_ZFR):
+        # the grid's t reaches e^1175 and e^1314, past the float range
+        m = et.ErrorModel(c_ZFR=c_ZFR)
+        logx = math.log(x)
+        u = np.linspace(math.log(3.0), 1500.0, 400_001)  # u = log t
+        grid = float(np.min(c_ZFR / (m.log_Q + m.n_K * u) * logx + u))
+        assert et.eta(x, m) == pytest.approx(grid, rel=1e-9)
 
     def test_positive_and_growing(self):
         m = model_with_Q(1e3, 2)
@@ -289,3 +299,7 @@ class TestRemainders:
         )
         m4 = model_with_Q(1e3, 2, eta_thm=4.0)
         assert et.level_of_distribution(z, m4) < et.level_of_distribution(z, m)
+
+    def test_level_past_float_range(self):
+        # z^(log log z) at z = 1e300 is about 10^1982: above every d
+        assert et.level_of_distribution(1e300, et.ErrorModel()) == math.inf

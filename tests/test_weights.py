@@ -124,9 +124,27 @@ class TestTransform:
             got = wt.laplace_F(z, p)
             assert abs(got - oracle) <= 1e-8, z
 
+    @pytest.mark.parametrize("ell", [3, 4, 8, 40])
+    def test_vs_mpmath_closed_form(self, ell):
+        # |z| log-uniform on [1e-3, 100] puts the factors' u = 2Az near 0,
+        # where e^u - 1 cancels
+        p = wt.WeightParams(x=1e12, epsilon=0.1, ell=ell)
+        rng = random.Random(ell)
+        with mpmath.workdps(50):
+            A = mpmath.mpf(p.epsilon) / (2 * ell * mpmath.log(p.x))
+            L0 = mpmath.mpf(1) / 2 + 2 * ell * A
+            for _ in range(300):
+                z = cmath.rect(10 ** rng.uniform(-3, 2), rng.uniform(-math.pi, math.pi))
+                w = mpmath.mpc(z)
+                exact = (
+                    mpmath.exp(-(1 + 2 * ell * A) * w) * mpmath.expm1(L0 * w) / w
+                    * (mpmath.expm1(2 * A * w) / (2 * A * w)) ** ell
+                )
+                assert abs(wt.laplace_F(z, p) - exact) <= 1e-13 * abs(exact), z
+
     def test_series_branch_continuity(self):
         p = wt.WeightParams(x=1e6, epsilon=0.05, ell=4)
-        # straddle the series cutoff in the (e^u - 1)/u factors
+        # small |u| in the (e^u - 1)/u factors, on both sides of 1e-4
         for mag in (1e-6, 9.9e-5, 1.01e-4, 1e-3):
             z = complex(mag, mag)
             a = wt.laplace_F(z, p)
