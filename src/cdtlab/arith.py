@@ -219,10 +219,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    # Tonelli-Shanks.
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
+    # Tonelli-Shanks (Cohen, Alg. 1.5.1); p = 3 (mod 4) gives a^((p+1)/4)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2

@@ -38,7 +38,6 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -134,22 +133,24 @@ def prime_table(limit: int) -> PrimeCache:
 # (-u, -v) weighs the same as (u, v): the pass over u >= 1 is doubled and
 # the row u = 0 added once.  The tables are read on the prime hits only.
 #
-# The kernel walks a wheel: it builds only the points whose residues
-# _wheel(f) admits, gcd(f(u, v), 30) = 1 (true at (-u, -v) as at (u, v)),
-# and a prime among them is 7 or more.  That keeps 7 to 11 percent of the
-# ellipse for D = -23, -47 and -71 and 28 for u^2 + v^2; W = 6 would keep
-# 11.1 against 10.7 for D = -23 and -47, and 44 for u^2 + v^2.  The points
-# of value 2, 3 or 5 come from a second pass over the whole (tiny) ellipse
+# The kernel walks a wheel: it builds only the points with
+# gcd(f(u, v), 30) = 1 (true at (-u, -v) as at (u, v)), and a prime among
+# them is 7 or more.  That keeps 7 to 11 percent of the ellipse for
+# D = -23, -47 and -71 and 28 for u^2 + v^2; W = 6 would keep 11.1
+# against 10.7 for D = -23 and -47, and 44 for u^2 + v^2.  The points of
+# value 2, 3 or 5 come from a second pass over the whole (tiny) ellipse
 # f(u, v) <= min(x, 5), by the same tables.
 #
-# _admissible also drops the points the coordinate tables weigh 0.  Its
-# wheel is mod W = lcm(30, gcd(m, 210)): 210 when 7 | m, else 30 (11 and
-# 13 would need a 30030^2 table).  A row residue u0 mod W goes when w_u
-# vanishes on every r = u0 (mod gcd(m, W)), a column v0 likewise by w_v.
+# _admissible builds that wheel from f's coefficients mod 30 and drops
+# the points the coordinate tables weigh 0.  Its wheel is mod
+# W = lcm(30, gcd(m, 210)): 210 when 7 | m, else 30 (11 and 13 would need
+# a 30030^2 table).  A row residue u0 mod W goes when w_u vanishes on
+# every r = u0 (mod gcd(m, W)), a column v0 likewise by w_v.
 # Only points of weight 0 go, whatever the tables hold, and tables that
 # depend on their residue through a gcd keep the symmetry the doubling
 # needs.  For (1, 0, 1) with P = 15015 the table keeps 1/2 * 1/2 * 36/49
-# = 18.4 percent of the wheel's points; with m = 1 it equals _wheel(f).
+# = 18.4 percent of the wheel's points; with m = 1 it is the wheel mod 30.
+# It is built per pass, uncached: about 25 us, against 12 ms or more a job.
 #
 # The pass over u >= 1 forks only when it pays.  With more than one
 # worker its points are estimated before any is built: the half-ellipse
@@ -180,28 +181,24 @@ def prime_table(limit: int) -> PrimeCache:
 _WHEEL = 30  # = 2 * 3 * 5
 _FORK_POINTS = 1_000_000  # estimated points per forked process
 _STRIP = None  # a pool worker's strip closure, set by _start_apart
-
-
-@lru_cache(maxsize=256)
-def _wheel(f: Form) -> np.ndarray:
-    """[gcd(f(u0, v0), 30) = 1] for the residues u0 (rows) and v0 mod 30."""
-    a, b, c = (k % _WHEEL for k in f)  # f(u0, v0) mod 30, free of overflow
-    r = np.arange(_WHEEL, dtype=np.int64)
-    u0 = r[:, None]
-    table = np.gcd(a * u0 * u0 + b * u0 * r + c * r * r, _WHEEL) == 1
-    table.setflags(write=False)
-    return table
+_ONE = np.ones(1, dtype=np.int64)  # the table that weighs every residue 1
+_ONE.setflags(write=False)
 
 
 def _admissible(f: Form, w_u: np.ndarray, w_v: np.ndarray) -> np.ndarray:
-    """_wheel(f) tiled mod W, less the residues that w_u or w_v weigh 0."""
+    """[gcd(f(u0, v0), 30) = 1] for the residues u0 (rows) and v0 mod W,
+    less the residues that w_u or w_v weigh 0."""
     m = len(w_u)
     W = math.lcm(_WHEEL, math.gcd(m, 7 * _WHEEL))
     g = math.gcd(m, W)
+    a, b, c = (k % _WHEEL for k in f)  # f(u0, v0) mod 30, free of overflow
+    r = np.arange(_WHEEL)
+    u0 = r[:, None]
+    wheel = np.gcd(a * u0 * u0 + b * u0 * r + c * r * r, _WHEEL) == 1
     r = np.arange(W) % g
     rows = (w_u.reshape(-1, g) != 0).any(axis=0)[r]
     cols = (w_v.reshape(-1, g) != 0).any(axis=0)[r]
-    return np.tile(_wheel(f), (W // _WHEEL, W // _WHEEL)) & rows[:, None] & cols
+    return np.tile(wheel, (W // _WHEEL, W // _WHEEL)) & rows[:, None] & cols
 
 
 def _run_strip(u_lo: int, u_hi: int) -> int:
@@ -280,20 +277,26 @@ def _coprime_residues(m: int) -> np.ndarray:
 
 def count_prime_points(f: Form, x: float, workers: int = 1) -> int:
     """Number of integer pairs (u, v) with f(u, v) a prime <= x."""
-    one = np.ones(1, dtype=np.int64)
-    return _lattice_sum(f, x, one, one, one, workers)
+    return _lattice_sum(f, x, _ONE, _ONE, _ONE, workers)
+
+
+def _primitive(f: Form, name: str) -> Form:
+    """The reduced form of f; an imprimitive f raises ValueError."""
+    if not f.is_primitive:
+        raise ValueError(f"{name} requires a primitive form, got {tuple(f)}")
+    return reduce_form(f)
 
 
 def pi_class(f: Form, x: float, workers: int = 1) -> float:
-    """Prime-ideal count attached to the class of f: lattice points with
-    prime value, divided by the number of units of the order."""
-    f = reduce_form(f)
+    """Prime-ideal count of the class of the primitive form f: lattice
+    points with prime value, divided by the number of units of the order."""
+    f = _primitive(f, "pi_class")
     return count_prime_points(f, x, workers) / stab_order(f.discriminant)
 
 
 def pi_class_scan(target: Form, x: float) -> int:
     """Independent slow count of the prime ideals of degree one and norm
-    p <= x in the class of `target`, walking every prime p.
+    p <= x in the class of the primitive form `target`, by every prime.
 
     prime_to_class gives the class g of an ideal above p.  A split p
     has a second ideal in the class of g^-1, a ramified p (p | D) only
@@ -301,14 +304,15 @@ def pi_class_scan(target: Form, x: float) -> int:
     reaches the same ideals through the values of the form.
     """
     check_finite(x)
-    target = reduce_form(target)
+    target = _primitive(target, "pi_class_scan")
+    inverse = inverse_form(target)
     D = target.discriminant
     flags = prime_table(int(x)).flags
     total = 0
     for p in np.flatnonzero(flags[: max(int(x), 0) + 1]).tolist():
         g = prime_to_class(p, D)
         if g is not None:
-            total += (g == target) + (D % p != 0 and inverse_form(g) == target)
+            total += (g == target) + (D % p != 0 and g == inverse)
     return total
 
 
@@ -362,7 +366,7 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     check_finite(bound)
     target = reduce_form(target)
     D = target.discriminant
-    principal = target == reduce_form(principal_form(D))
+    principal = target == principal_form(D)
     bound = max(int(bound), 0)
     flags = prime_table(bound).flags
     # mark 1: a prime p <= bound; 2: a power p^j <= bound, j >= 2, of a
@@ -383,7 +387,8 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value;
     # an inert power is never properly represented and keeps its mark 3.
     # gcd(u, v)^2 divides f(u, v), so only the powers need the gcd
-    for U, V, N in represented_blocks(target, bound, 0, admissible=_wheel(target)):
+    wheel = _admissible(target, _ONE, _ONE)
+    for U, V, N in represented_blocks(target, bound, 0, admissible=wheel):
         M = mark[N]
         mark[N[M == 1]] = 4
         hit = np.flatnonzero(M == 2)
@@ -497,8 +502,11 @@ def li_identity_check(x: float, sigma: float = 0.9) -> float:
 
 def congruence_sum_A(f: Form, d1: int, d2: int, x: float) -> float:
     """A_{d1,d2}(x): prime values f(u, v) <= x with d1 | u and d2 | v,
-    counted over the lattice and divided by the unit count of the order."""
-    f = reduce_form(f)
+    counted over the lattice and divided by the unit count of the order.
+    f must be primitive, and d1, d2 >= 1."""
+    if d1 < 1 or d2 < 1:
+        raise ValueError(f"d1 and d2 must be >= 1, got d1 = {d1}, d2 = {d2}")
+    f = _primitive(f, "congruence_sum_A")
     g = induced_form(f, d1, d2)
     return count_prime_points(g, x) / stab_order(f.discriminant)
 
@@ -555,14 +563,13 @@ def sieved_sum_S(f: Form, w1, w2, P: SievingModulus, x: float) -> dict:
         if any(P.P % d for d in w.lam):
             raise ValueError("sieve weights must be supported on divisors of P")
     n_ok = _coprime_residues(2 * P.P)
-    one = np.ones(1, dtype=np.int64)
     by_pairs = 0
     for d1, l1 in w1.lam.items():
         for d2, l2 in w2.lam.items():
             if math.gcd(d1, d2) != 1:
                 continue
             g = induced_form(f, d1, d2)
-            by_pairs += l1 * l2 * _lattice_sum(g, x, n_ok, one, one)
+            by_pairs += l1 * l2 * _lattice_sum(g, x, n_ok, _ONE, _ONE)
     by_points = _lattice_sum(f, x, n_ok, _theta_table(w1, P.P), _theta_table(w2, P.P))
     if by_pairs != by_points:
         raise AssertionError(

@@ -34,12 +34,8 @@ def int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _emit(data, args) -> None:
-    text = json.dumps(data, indent=2, default=str)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+def _emit(data) -> None:
+    print(json.dumps(data, indent=2, default=str))
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -59,14 +55,15 @@ def _cmd_classnum(args) -> int:
             "D": args.D * args.conductor**2,
             "h": h,
             "forms": [list(f) for f in cl.representatives],
-        },
-        args,
+        }
     )
     return 0
 
 
 def _cmd_count(args) -> int:
     f = quadforms.Form(args.a, args.b, args.c)
+    if not f.is_primitive:
+        raise ValueError(f"count requires a primitive form, got {tuple(f)}")
     if args.csv and not args.per_class:
         args.parser.error("--csv needs --per-class")
     if args.per_class:
@@ -74,7 +71,7 @@ def _cmd_count(args) -> int:
         if args.csv:
             rows = [r["form"] + [r["count"], r["expected"], r["rel_error"]] for r in report["rows"]]
             _write_csv(args.csv, ["a", "b", "c", "count", "expected", "rel_error"], rows)
-        _emit(report, args)
+        _emit(report)
         return 0
     count = chebotarev.count_prime_points(f, args.x, args.workers)
     _emit(
@@ -83,8 +80,7 @@ def _cmd_count(args) -> int:
             "x": args.x,
             "lattice_points": count,
             "pi_class": count / quadforms.stab_order(f.discriminant),
-        },
-        args,
+        }
     )
     return 0
 
@@ -100,8 +96,7 @@ def _cmd_delta(args) -> int:
             "delta": str(d),
             "delta_float": float(d),
             "obstructed": densities.represents_odd_primes_obstructed(f, P),
-        },
-        args,
+        }
     )
     return 0
 
@@ -119,8 +114,7 @@ def _cmd_sieve(args) -> int:
             "s": spec.s,
             "beta": spec.beta,
             "lambda": {str(d): lam for d, lam in sorted(w.lam.items())},
-        },
-        args,
+        }
     )
     return 0
 
@@ -134,7 +128,7 @@ def _cmd_weights(args) -> int:
         params = weights.WeightParams.standard_choice(args.x, args.n_K, args.c_ZDE)
     report = weights.verify_bounds(params)
     report["params"] = {"x": params.x, "epsilon": params.epsilon, "ell": params.ell}
-    _emit(report, args)
+    _emit(report)
     return 0 if report["ok"] else 1
 
 
@@ -172,7 +166,7 @@ def _cmd_bounds(args) -> int:
             rows.append([x, e, math.exp(-e), errorterms.classical_error(x, model)])
             k += 1
         _write_csv(args.csv, ["x", "eta", "exp_neg_eta", "classical_error"], rows)
-    _emit(out, args)
+    _emit(out)
     return 0
 
 
@@ -182,7 +176,7 @@ def _cmd_experiment(args) -> int:
     report = chebotarev.theorem15_experiment(
         f, P, args.x, workers=args.workers, tolerance=args.tolerance
     )
-    _emit(asdict(report), args)
+    _emit(asdict(report))
     return 0 if report.passed else 1
 
 
@@ -212,20 +206,18 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="cdtlab")
     sub = top.add_subparsers(dest="command", required=True)
-    out = argparse.ArgumentParser(add_help=False)  # shared by the JSON commands
-    out.add_argument("--out")
 
     def add_form(p):
         p.add_argument("a", type=int)
         p.add_argument("b", type=int)
         p.add_argument("c", type=int)
 
-    p = sub.add_parser("classnum", parents=[out], help="class number and reduced forms of an order")
+    p = sub.add_parser("classnum", help="class number and reduced forms of an order")
     p.add_argument("D", type=int, help="fundamental discriminant, negative")
     p.add_argument("--conductor", type=int, default=1)
     p.set_defaults(fn=_cmd_classnum)
 
-    p = sub.add_parser("count", parents=[out], help="primes represented by a form up to x")
+    p = sub.add_parser("count", help="primes represented by a form up to x")
     add_form(p)
     p.add_argument("x", type=float)
     p.add_argument("--workers", type=positive_int, default=1)
@@ -233,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(fn=_cmd_count, parser=p)
 
-    p = sub.add_parser("delta", parents=[out], help="coprimality density of a form")
+    p = sub.add_parser("delta", help="coprimality density of a form")
     add_form(p)
     p.add_argument("--modulus", type=int, required=True)
     p.set_defaults(fn=_cmd_delta)
 
-    p = sub.add_parser("sieve", parents=[out], help="beta-sieve weight table")
+    p = sub.add_parser("sieve", help="beta-sieve weight table")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--kind", choices=("upper", "lower"), default="upper")
@@ -246,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=int_list, required=True, help="comma-separated primes")
     p.set_defaults(fn=_cmd_sieve)
 
-    p = sub.add_parser("weights", parents=[out], help="smoothed weight transform report")
+    p = sub.add_parser("weights", help="smoothed weight transform report")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--ell", type=int)
@@ -254,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-ZDE", type=int, default=10)
     p.set_defaults(fn=_cmd_weights, parser=p)
 
-    p = sub.add_parser("bounds", parents=[out], help="analytic error bound calculus")
+    p = sub.add_parser("bounds", help="analytic error bound calculus")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--D-K", type=float, default=3.0)
     p.add_argument("--n-K", type=int, default=2)
@@ -264,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(fn=_cmd_bounds, parser=p)
 
-    p = sub.add_parser("experiment", parents=[out], help="sifted prime count vs prediction")
+    p = sub.add_parser("experiment", help="sifted prime count vs prediction")
     add_form(p)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--x", type=float, required=True)

@@ -9,6 +9,7 @@ product.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,10 +46,7 @@ class SievingModulus:
                 stacklevel=2,
             )
         primes = tuple(sorted(p for p, _ in fac))
-        radical = 1
-        for p in primes:
-            radical *= p
-        return cls(P=radical, z=float(max(primes, default=2)), prime_factors=primes)
+        return cls(P=math.prod(primes), z=float(max(primes, default=2)), prime_factors=primes)
 
 
 def g_prime(p: int, f: Form, P: SievingModulus) -> Fraction:
@@ -60,11 +58,9 @@ def g_prime(p: int, f: Form, P: SievingModulus) -> Fraction:
 
 
 def g_dprime(p: int, f: Form, P: SievingModulus) -> Fraction:
-    """Density of the condition p | v; symmetric to g_prime with a in
-    place of c."""
-    if p not in P.prime_factors or f.a % p == 0:
-        return Fraction(0)
-    return Fraction(1, p - kronecker(f.discriminant, p))
+    """Density of the condition p | v: g_prime of the swapped form
+    f(v, u) = (c, b, a), which takes a in place of c."""
+    return g_prime(p, Form(f.c, f.b, f.a), P)
 
 
 def delta_f(f: Form, P: SievingModulus) -> Fraction:

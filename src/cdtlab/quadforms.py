@@ -182,6 +182,8 @@ def compose(f1: Form, f2: Form) -> Form:
 
 
 def principal_form(D: int) -> Form:
+    """The reduced form of the identity class: (1, 0, -D/4) or
+    (1, 1, (1 - D)/4), by the parity of D."""
     _check_discriminant(D)
     if D % 4 == 0:
         return Form(1, 0, -D // 4)
@@ -214,7 +216,7 @@ def class_number_order(D0: int, d: int) -> int:
     if d < 1:
         raise ValueError("conductor must be >= 1")
     num = class_number(D0)
-    for p, e in factorize(d) if d > 1 else []:
+    for p, e in factorize(d):
         num *= p ** (e - 1) * (p - kronecker(D0, p))
     index = stab_order(D0) // stab_order(D0 * d * d)  # [O^x : O_d^x]
     if num % index != 0:

@@ -146,6 +146,31 @@ class TestSqrtMod:
                     assert a in squares
 
 
+    def test_small_primes_vs_bruteforce(self):
+        # every a mod every odd prime p < 600: the smaller of the two roots
+        for p in range(3, 600, 2):
+            if not arith.is_prime(p):
+                continue
+            least = {}
+            for x in range(p // 2, -1, -1):
+                least[x * x % p] = x
+            assert [arith.sqrt_mod(a, p) for a in range(p)] == [least.get(a) for a in range(p)]
+
+    # 10^9 + 7, 2^61 - 1 and 2^32 - 5 are 3 (mod 4); 998244353 is 1 (mod 4)
+    @pytest.mark.parametrize("p", [1000000007, 998244353, 2**61 - 1, 4294967291])
+    def test_large_primes(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            a = rng.randrange(p)
+            r = arith.sqrt_mod(a, p)
+            if r is None:
+                assert legendre(a, p) == -1
+            else:
+                assert r * r % p == a and r <= p - r
+            x = rng.randrange(1, p)
+            assert arith.sqrt_mod(x * x % p, p) == min(x, p - x)
+
+
 class TestMultiplicative:
     @given(st.integers(min_value=1, max_value=10**5))
     @settings(max_examples=150, deadline=None)

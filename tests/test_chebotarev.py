@@ -81,6 +81,26 @@ class TestWheel:
     def test_reduced_forms_vs_bruteforce(self, f, x):
         assert ch.count_prime_points(f, x) == len(prime_values(f, x))
 
+    @pytest.mark.parametrize("f", FORMS + [qf.Form(7, 3, 11), qf.Form(2, 2, 2)])
+    @pytest.mark.parametrize("m", [1, 2, 7, 14, 15, 30, 105, 210, 1155, 15015])
+    def test_admissible_vs_gcd_table(self, f, m):
+        # [gcd(f(u0, v0), 30) = 1 and w_u[r], w_v[r'] nonzero for some
+        # r = u0, r' = v0 (mod gcd(m, W))], W = 210 when 7 | m, else 30
+        W = 210 if m % 7 == 0 else 30
+        g = math.gcd(m, W)
+        coprime = (np.gcd(np.arange(m), m) == 1).astype(np.int64)
+        # a table that vanishes on one whole class mod g, as well
+        one_class = np.arange(m) % g != np.random.default_rng(m).integers(g)
+        for w_u, w_v in ((coprime, coprime), (np.ones(m, np.int64), coprime * one_class)):
+            table = ch._admissible(f, w_u, w_v)
+            rows = [any(w_u[r] for r in range(u0 % g, m, g)) for u0 in range(W)]
+            cols = [any(w_v[r] for r in range(v0 % g, m, g)) for v0 in range(W)]
+            expected = [
+                [math.gcd(f(u0, v0), 30) == 1 and rows[u0] and cols[v0] for v0 in range(W)]
+                for u0 in range(W)
+            ]
+            assert table.tolist() == expected
+
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_rejected(self, x):
         f = qf.Form(1, 1, 6)
@@ -194,6 +214,21 @@ class TestCounting:
             lattice = ch.count_prime_points(f, x)
             assert lattice == qf.stab_order(f.discriminant) * ch.pi_class_scan(f, x), x
 
+    def test_imprimitive_rejected(self):
+        # (2, 2, 2) takes only even values: the lattice holds 6 points of
+        # value 2, but no prime ideal of the order of D = -12 lies in it
+        f = qf.Form(2, 2, 2)
+        assert ch.count_prime_points(f, 1e4) == 6
+        for name in ("pi_class", "pi_class_scan"):
+            with pytest.raises(
+                ValueError, match=rf"^{name} requires a primitive form, got \(2, 2, 2\)$"
+            ):
+                getattr(ch, name)(f, 1e4)
+        with pytest.raises(
+            ValueError, match=r"^congruence_sum_A requires a primitive form, got \(2, 2, 2\)$"
+        ):
+            ch.congruence_sum_A(f, 1, 1, 1e4)
+
     def test_scan_reads_only_primes_up_to_x(self, monkeypatch):
         # a larger table already in memory must not be listed whole
         monkeypatch.setattr(ch, "_TABLE", primes_up_to(10**7))
@@ -242,7 +277,7 @@ def walk_psi_events(target, bound):
     target = qf.reduce_form(target)
     D = target.discriminant
     bound = int(bound)
-    principal = qf.reduce_form(qf.principal_form(D))
+    principal = qf.principal_form(D)
     events = []
 
     def split_events(p, g):
@@ -310,7 +345,7 @@ class TestPsi:
     # is non-fundamental
     @pytest.mark.parametrize("D", [-71, -119, -44, -104])
     def test_small_split_primes_of_high_order(self, D):
-        principal = qf.reduce_form(qf.principal_form(D))
+        principal = qf.principal_form(D)
 
         def order(g):
             power, k = g, 1
@@ -440,7 +475,7 @@ class TestMainTermAndBridge:
         # the bridge's pi_C adds the inert (p), p^2 <= x, to the principal
         # class and leaves out the ramified primes that pi_class counts
         D = -23
-        principal = qf.reduce_form(qf.principal_form(D))
+        principal = qf.principal_form(D)
         inert = sum(
             1 for p in range(2, math.isqrt(int(x)) + 1) if is_prime(p) and kronecker(D, p) == -1
         )
@@ -499,6 +534,12 @@ class TestCongruence:
         assert out["value"] == pytest.approx(li(1e6) / 16)
         out = ch.congruence_sum_predicted(f, 3, 5, 1e6, P, model=ErrorModel())
         assert out["budget"] is not None and out["budget"] > 0
+
+    @pytest.mark.parametrize("d1,d2", [(0, 1), (1, 0), (-1, 1), (3, -5)])
+    def test_A_rejects_d_below_one(self, d1, d2):
+        message = f"^d1 and d2 must be >= 1, got d1 = {d1}, d2 = {d2}$"
+        with pytest.raises(ValueError, match=message):
+            ch.congruence_sum_A(qf.Form(1, 0, 1), d1, d2, 1e4)
 
     @pytest.mark.parametrize("d1", [7, 9])
     def test_predicted_rejects_d_off_P(self, d1):
@@ -626,8 +667,10 @@ class TestTablesVsBruteforce:
     def test_sifted_table(self, monkeypatch):
         # the table the kernel walks for (1,0,1), P = 15015: mod 210, the
         # wheel's points with u and v prime to 3, 5 and 7, 1/2 * 1/2 * 36/49
-        # of them, and the same at (-u0, -v0); a plain count walks _wheel
+        # of them, and the same at (-u0, -v0); a plain count walks the
+        # wheel mod 30
         f = qf.Form(1, 0, 1)
+        one = np.ones(1, dtype=np.int64)
         walked = []
 
         def spy(*args, admissible=None):
@@ -637,14 +680,14 @@ class TestTablesVsBruteforce:
         monkeypatch.setattr(ch, "represented_blocks", spy)
         ch.theorem15_experiment(f, de.SievingModulus.from_int(15015), 1e4)
         table = walked[0]
-        wheel = np.tile(ch._wheel(f), (7, 7))
+        wheel = np.tile(ch._admissible(f, one, one), (7, 7))
         assert table.shape == (210, 210) and not (table & ~wheel).any()
         assert Fraction(int(table.sum()), int(wheel.sum())) == Fraction(9, 49)
         neg = -np.arange(210) % 210
         assert (table == table[np.ix_(neg, neg)]).all()
         walked.clear()
         ch.count_prime_points(f, 1e4)
-        assert (walked[0] == ch._wheel(f)).all()
+        assert (walked[0] == ch._admissible(f, one, one)).all()
 
     def test_sifted_forked_pass(self, monkeypatch, capsys):
         # about 2.4M estimated points over the mod-210 table: two workers

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from cdtlab import verify
 from cdtlab.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -97,6 +99,16 @@ class TestCount:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: prime cache up to") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--per-class"]])
+    def test_imprimitive_rejected(self, capsys, extra):
+        # (2, 2, 2) takes only even values: no prime ideal count belongs to it
+        assert main(["count", "2", "2", "2", "1e4", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: count requires a primitive form, got (2, 2, 2)"
+        ]
 
 
 class TestDelta:
@@ -353,14 +365,11 @@ class TestBounds:
 
 
 class TestExperiment:
-    def test_pass_and_report(self, capsys, tmp_path):
-        out_path = tmp_path / "exp.json"
+    def test_pass_and_report(self, capsys):
         code, out = run(
-            capsys, "experiment", "1", "0", "1", "--modulus", "15",
-            "--x", "1e6", "--out", str(out_path),
+            capsys, "experiment", "1", "0", "1", "--modulus", "15", "--x", "1e6"
         )
         assert code == 0
-        assert out_path.read_text() == out
         data = json.loads(out)
         assert data["passed"] is True
         # the order users and the benchmark's sifted job read the report in
@@ -369,6 +378,20 @@ class TestExperiment:
             "obstructed", "trivially_true", "passed", "density",
         ]
         assert list(data["config"]) == ["form", "D", "P", "z", "x", "h"]
+
+    def test_out_is_a_usage_error(self, capsys, tmp_path):
+        # the report goes to stdout only; `> file` writes the same bytes
+        path = tmp_path / "exp.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "1", "0", "1", "--modulus", "15", "--x", "1e5",
+                  "--out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cdtlab: unrecognized arguments: --out {path}"
+        ]
+        assert not path.exists()
 
     def test_obstructed_passes(self, capsys):
         code, out = run(
@@ -531,7 +554,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
         proc = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path / "sweep.csv")],
-            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -539,7 +562,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     def test_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cdtlab.cli", "classnum", "-23"],
-            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["h"] == 3

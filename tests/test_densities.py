@@ -4,6 +4,7 @@ import pytest
 
 from cdtlab import densities as de
 from cdtlab import quadforms as qf
+from cdtlab.arith import kronecker
 
 
 class TestSievingModulus:
@@ -41,6 +42,19 @@ class TestLocalDensities:
         assert de.g_prime(3, f, P) == Fraction(1, 4)
         assert de.g_prime(5, f, P) == Fraction(1, 4)
         assert de.g_prime(3, f, P) == de.g_dprime(3, f, P)
+
+    def test_dprime_vs_formula(self):
+        # g''(p) = 1/(p - (D/p)) when p | P and p does not divide a, else 0
+        moduli = [de.SievingModulus.from_int(n) for n in (1, 2, 15, 30, 77, 15015, 30030)]
+        for D in range(-3, -400, -1):
+            if D % 4 not in (0, 1):
+                continue
+            for f in qf.class_representatives(D).representatives:
+                for P in moduli:
+                    for p in (2, 3, 5, 7, 11, 13, 17):
+                        on = p in P.prime_factors and f.a % p
+                        expected = Fraction(1, p - kronecker(D, p)) if on else 0
+                        assert de.g_dprime(p, f, P) == expected, (tuple(f), P.P, p)
 
 
 class TestDelta:

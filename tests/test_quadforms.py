@@ -81,11 +81,19 @@ class TestClassNumbers:
         assert not qf.is_fundamental(-16)
 
 
+class TestPrincipalForm:
+    def test_reduced_by_construction(self):
+        for D in range(-3, -10**5 - 1, -1):
+            if D % 4 in (0, 1):
+                e = qf.principal_form(D)
+                assert e == qf.reduce_form(e), D
+
+
 class TestComposition:
     @pytest.mark.parametrize("D", [-23, -47, -71, -84, -120])
     def test_group_axioms(self, D):
         cl = qf.class_representatives(D)
-        e = qf.reduce_form(qf.principal_form(D))
+        e = qf.principal_form(D)
         rng = random.Random(D)
         for f in cl.representatives:
             assert qf.compose(e, f) == f
@@ -127,7 +135,7 @@ class TestComposition:
     def test_element_orders_divide_h(self):
         for D in (-23, -47, -71):
             cl = qf.class_representatives(D)
-            e = qf.reduce_form(qf.principal_form(D))
+            e = qf.principal_form(D)
             for f in cl.representatives:
                 g = f
                 order = 1
