@@ -9,6 +9,7 @@ and safe to share across threads or forked workers.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 import zlib
@@ -144,10 +145,10 @@ def primes_up_to(x: int) -> PrimeCache:
     """Segmented sieve of Eratosthenes producing a PrimeCache up to x."""
     if x < 2:
         raise ValueError("primes_up_to requires x >= 2")
-    x = int(x)
     # ~1 byte per integer; refuse absurd requests before allocating.
     if x > 1 << 33:
-        raise ValueError(f"prime cache up to {x} exceeds the memory budget")
+        raise ValueError(f"prime cache up to x = {x:g} exceeds the memory budget of 2^33 flags")
+    x = int(x)
     root = math.isqrt(x)
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
@@ -180,8 +181,7 @@ def kronecker(D: int, n: int) -> int:
     discriminants of quadratic forms.  Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 1.4.10.
     """
-    if n <= 0:
-        raise ValueError("kronecker requires positive n")
+    n = check_int(n, 1, "n")
     result = 1
     if n % 2 == 0:
         if D % 2 == 0:
@@ -241,8 +241,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization by trial division, as (prime, exponent) pairs."""
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
+    n = check_int(n, 1, "n")
     out = []
     p = 2
     while p * p <= n:
@@ -295,6 +294,15 @@ def check_finite(x: float, name: str = "x") -> None:
     """Reject an argument that is NaN or infinite, before any int(x)."""
     if not math.isfinite(x):
         raise ValueError(f"{name} must be a finite number, got {x}")
+
+
+def check_int(n, lower: int, name: str) -> int:
+    """operator.index(n) when it is >= lower: the one rule for an integer
+    argument.  A float, even 2.0, or a smaller integer raises ValueError."""
+    i = operator.index(n) if hasattr(n, "__index__") else None
+    if i is None or i < lower:
+        raise ValueError(f"{name} must be an integer >= {lower}, got {n}")
+    return i
 
 
 def checked_log(x: float, lower: float, message: str, name: str = "x", error=ValueError) -> float:

@@ -73,17 +73,15 @@ class SieveSpec:
 
 @dataclass(frozen=True)
 class SieveWeights:
-    """Map d -> lambda_d on squarefree d with prime factors in support."""
+    """Map d -> lambda_d on squarefree d with prime factors in spec.support."""
 
-    kind: str
-    support: tuple[int, ...]
-    R: float
+    spec: SieveSpec
     lam: Mapping[int, int]
 
     def __post_init__(self):
         assert self.lam.get(1) == 1
         assert all(abs(v) <= 1 for v in self.lam.values())
-        assert all(d < self.R for d in self.lam)
+        assert all(d < self.spec.R for d in self.lam)
 
 
 def beta_sieve_weights(spec: SieveSpec) -> SieveWeights:
@@ -106,7 +104,7 @@ def beta_sieve_weights(spec: SieveSpec) -> SieveWeights:
             descend(i + 1, d, m, -sign)
 
     descend(0, 1, 0, 1)
-    return SieveWeights(kind=spec.kind, support=tuple(sorted(spec.support)), R=spec.R, lam=lam)
+    return SieveWeights(spec=spec, lam=lam)
 
 
 def theta_map(w: SieveWeights, ns) -> dict[int, int]:
@@ -163,7 +161,7 @@ def invert_composition(w1: SieveWeights, w2: SieveWeights, d: DensityPair) -> Fr
     With finite support this is an exact rational identity with
     reduced_composition.
     """
-    support = tuple(sorted(set(w1.support) | set(w2.support)))
+    support = tuple(sorted(set(w1.spec.support) | set(w2.spec.support)))
     divs = divisors(math.prod(support))
     th1 = theta_map(w1, divs)
     th2 = theta_map(w2, divs)

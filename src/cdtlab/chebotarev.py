@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import PrimeCache, check_finite, checked_log, kronecker, li, primes_up_to
+from .arith import PrimeCache, check_finite, check_int, checked_log, kronecker, li, primes_up_to
 from .betasieve import theta_map
 from .densities import (
     SievingModulus,
@@ -55,6 +55,7 @@ from .errorterms import ErrorModel, remainder_R
 from .quadforms import (
     Form,
     _u_bound,
+    check_primitive,
     class_representatives,
     compose,
     induced_form,
@@ -280,17 +281,11 @@ def count_prime_points(f: Form, x: float, workers: int = 1) -> int:
     return _lattice_sum(f, x, _ONE, _ONE, _ONE, workers)
 
 
-def _primitive(f: Form, name: str) -> Form:
-    """The reduced form of f; an imprimitive f raises ValueError."""
-    if not f.is_primitive:
-        raise ValueError(f"{name} requires a primitive form, got {tuple(f)}")
-    return reduce_form(f)
-
-
 def pi_class(f: Form, x: float, workers: int = 1) -> float:
     """Prime-ideal count of the class of the primitive form f: lattice
     points with prime value, divided by the number of units of the order."""
-    f = _primitive(f, "pi_class")
+    check_primitive(f, "pi_class")
+    f = reduce_form(f)
     return count_prime_points(f, x, workers) / stab_order(f.discriminant)
 
 
@@ -304,7 +299,8 @@ def pi_class_scan(target: Form, x: float) -> int:
     reaches the same ideals through the values of the form.
     """
     check_finite(x)
-    target = _primitive(target, "pi_class_scan")
+    check_primitive(target, "pi_class_scan")
+    target = reduce_form(target)
     inverse = inverse_form(target)
     D = target.discriminant
     flags = prime_table(int(x)).flags
@@ -428,8 +424,7 @@ def psi_class_smooth(target: Form, params: WeightParams) -> float:
 def main_term(x: float, h: int, model: ErrorModel | None = None) -> float:
     """(Li(x) - theta1 * Li(x^beta1)) / h for x > 2 (Li(2) = 0); the
     exceptional-zero term only appears when the model carries a zero beta1."""
-    if h < 1:
-        raise ValueError("class number must be >= 1")
+    check_int(h, 1, "h")
     check_finite(x)
     if x <= 2:
         raise ValueError(f"x must exceed 2, since Li(2) = 0; got x = {x}")
@@ -502,11 +497,10 @@ def li_identity_check(x: float, sigma: float = 0.9) -> float:
 
 def congruence_sum_A(f: Form, d1: int, d2: int, x: float) -> float:
     """A_{d1,d2}(x): prime values f(u, v) <= x with d1 | u and d2 | v,
-    counted over the lattice and divided by the unit count of the order.
-    f must be primitive, and d1, d2 >= 1."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"d1 and d2 must be >= 1, got d1 = {d1}, d2 = {d2}")
-    f = _primitive(f, "congruence_sum_A")
+    counted over the lattice of the primitive form f as given, not of its
+    reduced form, and divided by the unit count of the order; d1, d2 >= 1."""
+    check_primitive(f, "congruence_sum_A")
+    d1, d2 = check_int(d1, 1, "d1"), check_int(d2, 1, "d2")
     g = induced_form(f, d1, d2)
     return count_prime_points(g, x) / stab_order(f.discriminant)
 
@@ -520,10 +514,12 @@ def congruence_sum_predicted(
     model: ErrorModel | None = None,
 ) -> dict:
     """Predicted value g'(d1) g''(d2) Li(x)/h with an optional error
-    budget from the remainder calculus."""
+    budget from the remainder calculus.  The densities read the primitive
+    form f as given, not its reduced form; d1 and d2 divide P."""
+    check_primitive(f, "congruence_sum_predicted")
+    d1, d2 = check_int(d1, 1, "d1"), check_int(d2, 1, "d2")
     if P.P % d1 or P.P % d2:
         raise ValueError(f"d1 = {d1} and d2 = {d2} must divide P = {P.P}")
-    f = reduce_form(f)
     h = class_representatives(f.discriminant).h
     dens = Fraction(1)
     for d, g_fn in ((d1, g_prime), (d2, g_dprime)):
@@ -546,7 +542,8 @@ def _theta_table(w, P: int) -> np.ndarray:
 
 def sieved_sum_S(f: Form, w1, w2, P: SievingModulus, x: float) -> dict:
     """S = sum over coprime (d1, d2) of lambda'_{d1} lambda''_{d2}
-    A_{d1,d2}(x), evaluated two ways.
+    A_{d1,d2}(x), evaluated two ways, over the lattice of the primitive
+    form f as given, not of its reduced form.
 
     Unlike congruence_sum_A, A counts only prime values prime to 2P: for
     (1, 0, 1), P = 15, lambda = {1: 1} at 1e4, S = 1216 and A = 1219.
@@ -557,7 +554,7 @@ def sieved_sum_S(f: Form, w1, w2, P: SievingModulus, x: float) -> dict:
     and must agree exactly; non-coprime pairs vanish because a prime
     value forces gcd(u, v) = 1.
     """
-    f = reduce_form(f)
+    check_primitive(f, "sieved_sum_S")
     stab = stab_order(f.discriminant)
     for w in (w1, w2):
         if any(P.P % d for d in w.lam):
@@ -600,14 +597,15 @@ def theorem15_experiment(
     model: ErrorModel | None = None,
 ) -> ExperimentReport:
     """Count odd primes f(u, v) <= x coprime to P with both coordinates
-    coprime to P, against the prediction delta_f(P) Li(x) / h.
+    coprime to P, against the prediction delta_f(P) Li(x) / h.  Both
+    sides read the primitive form f as given, not its reduced form.
 
     When delta_f(P) vanishes, as under the parity obstruction, the left
     side must vanish exactly and the statement is trivially true.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
-    f = reduce_form(f)
+    check_primitive(f, "theorem15_experiment")
     D = f.discriminant
     h = class_representatives(D).h
     coprime = _coprime_residues(P.P)

@@ -62,8 +62,7 @@ def _cmd_classnum(args) -> int:
 
 def _cmd_count(args) -> int:
     f = quadforms.Form(args.a, args.b, args.c)
-    if not f.is_primitive:
-        raise ValueError(f"count requires a primitive form, got {tuple(f)}")
+    quadforms.check_primitive(f, "count")
     if args.csv and not args.per_class:
         args.parser.error("--csv needs --per-class")
     if args.per_class:
@@ -108,7 +107,7 @@ def _cmd_sieve(args) -> int:
     w = betasieve.beta_sieve_weights(spec)
     _emit(
         {
-            "kind": w.kind,
+            "kind": w.spec.kind,
             "z": spec.z,
             "R": spec.R,
             "s": spec.s,

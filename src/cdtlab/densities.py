@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, kronecker
-from .quadforms import Form
+from .arith import check_int, factorize, kronecker
+from .quadforms import Form, check_primitive
 
 __all__ = [
     "SievingModulus",
@@ -37,15 +37,13 @@ class SievingModulus:
 
     @classmethod
     def from_int(cls, P: int) -> "SievingModulus":
-        if P < 1:
-            raise ValueError("sieving modulus must be positive")
-        fac = factorize(P)
+        fac = factorize(check_int(P, 1, "sieving modulus P"))
         if any(e > 1 for _, e in fac):
             warnings.warn(
                 f"P = {P} is not squarefree; replaced by its radical",
                 stacklevel=2,
             )
-        primes = tuple(sorted(p for p, _ in fac))
+        primes = tuple(p for p, _ in fac)
         return cls(P=math.prod(primes), z=float(max(primes, default=2)), prime_factors=primes)
 
 
@@ -65,8 +63,7 @@ def g_dprime(p: int, f: Form, P: SievingModulus) -> Fraction:
 
 def delta_f(f: Form, P: SievingModulus) -> Fraction:
     """Euler product over p | P of 1 - g'(p) - g''(p); always >= 0."""
-    if not f.is_primitive:
-        raise ValueError("delta_f requires a primitive form")
+    check_primitive(f, "delta_f")
     out = Fraction(1)
     for p in P.prime_factors:
         out *= 1 - g_prime(p, f, P) - g_dprime(p, f, P)
@@ -78,8 +75,7 @@ def represents_odd_primes_obstructed(f: Form, P: SievingModulus) -> bool:
     """True exactly when 2 | P and parity forces the restricted sum empty:
     either D = 1 (mod 8) with a + b + c even, or 2 | D with a, c both odd.
     In these cases g'(2) + g''(2) = 1 and delta_f(P) = 0."""
-    if not f.is_primitive:
-        raise ValueError("obstruction test requires a primitive form")
+    check_primitive(f, "represents_odd_primes_obstructed")
     if 2 not in P.prime_factors:
         return False
     D = f.discriminant

@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .arith import check_finite, checked_log, divisors, euler_phi, power_or_inf, tau
+from .arith import check_finite, check_int, checked_log, divisors, euler_phi, power_or_inf, tau
 
 __all__ = [
     "ErrorModel",
@@ -80,10 +80,8 @@ class ErrorModel:
             check_finite(value, name)
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        if self.n_K < 1:
-            raise ValueError(f"n_K must be an integer >= 1, got {self.n_K}")
-        if self.c_ZDE < 1:
-            raise ValueError("c_ZDE must be an integer >= 1")
+        check_int(self.n_K, 1, "n_K")
+        check_int(self.c_ZDE, 1, "c_ZDE")
         checked_log(self.Q, 2, "bound evaluations need Q >= 2", "Q")
         if (self.beta1 is None) != (self.theta1 == 0):
             raise ValueError("theta1 = 0 exactly when beta1 is absent")
@@ -281,10 +279,8 @@ def main_term_floor(x: float, m: ErrorModel) -> dict:
 
 def remainder_eps(d: int, x: float, m: ErrorModel) -> float:
     """eps_d(x) = exp(-vartheta log x / log|dD|) + exp(-sqrt(vartheta log x))."""
-    message = "remainder_eps requires d >= 1 and x >= 3"
-    if d < 1:
-        raise ValueError(message)
-    logx = checked_log(x, 3, message)
+    d = check_int(d, 1, "d")
+    logx = checked_log(x, 3, "remainder_eps requires x >= 3")
     log_dD = math.log(max(d * m.D_K * max(m.Qcal, 1.0), 3.0))
     return math.exp(-m.vartheta * logx / log_dD) + math.exp(
         -math.sqrt(m.vartheta * logx)

@@ -14,10 +14,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import check_finite, factorize, kronecker, sqrt_mod
+from .arith import check_finite, check_int, factorize, kronecker, sqrt_mod
 
 __all__ = [
     "Form",
+    "check_primitive",
     "ClassList",
     "reduce_form",
     "class_representatives",
@@ -61,6 +62,13 @@ class Form:
         yield self.c
 
 
+def check_primitive(f: Form, name: str) -> None:
+    """The one rule for a primitive-form argument: gcd(a, b, c) = 1, or
+    ValueError naming `name` and f.  It checks and does not reduce."""
+    if not f.is_primitive:
+        raise ValueError(f"{name} requires a primitive form, got {tuple(f)}")
+
+
 def reduce_form(f: Form) -> Form:
     """Unique reduced SL2-equivalent of f: |b| <= a <= c, with b >= 0
     whenever |b| = a or a = c.  Idempotent."""
@@ -87,7 +95,6 @@ def reduce_form(f: Form) -> Form:
 class ClassList:
     """All reduced primitive forms of one negative discriminant."""
 
-    D: int
     representatives: tuple[Form, ...]
 
     @property
@@ -130,7 +137,7 @@ def class_representatives(D: int) -> ClassList:
             reps.append(Form(ai, b, ci))
             if 0 < b < ai < ci:
                 reps.append(Form(ai, -b, ci))
-    return ClassList(D=D, representatives=tuple(sorted(reps)))
+    return ClassList(representatives=tuple(sorted(reps)))
 
 
 def class_number(D: int) -> int:
@@ -169,8 +176,8 @@ def compose(f1: Form, f2: Form) -> Form:
     Identity is the principal form."""
     if f1.discriminant != f2.discriminant:
         raise ValueError("compose requires equal discriminants")
-    if not (f1.is_primitive and f2.is_primitive):
-        raise ValueError("compose requires primitive forms")
+    check_primitive(f1, "compose")
+    check_primitive(f2, "compose")
     D = f1.discriminant
     a1, b1, a2, b2 = f1.a, f1.b, f2.a, f2.b
     g, s, t = _extended_gcd(a1, a2)
@@ -213,8 +220,7 @@ def class_number_order(D0: int, d: int) -> int:
     """
     if not is_fundamental(D0):
         raise ValueError(f"{D0} is not a fundamental discriminant")
-    if d < 1:
-        raise ValueError("conductor must be >= 1")
+    d = check_int(d, 1, "conductor")
     num = class_number(D0)
     for p, e in factorize(d):
         num *= p ** (e - 1) * (p - kronecker(D0, p))

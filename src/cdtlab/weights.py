@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from math import comb, fsum
 
-from .arith import checked_log, power_or_inf
+from .arith import check_int, checked_log, power_or_inf
 
 __all__ = ["WeightParams", "WeightFunction", "laplace_F", "verify_bounds"]
 
@@ -39,8 +39,7 @@ class WeightParams:
         checked_log(self.x, 3, "x must be >= 3")
         if not 0 < self.epsilon < 0.25:
             raise ValueError("epsilon must lie in (0, 1/4)")
-        if self.ell < 1:
-            raise ValueError("ell must be >= 1")
+        check_int(self.ell, 1, "ell")
 
     @property
     def A(self) -> float:
@@ -53,9 +52,8 @@ class WeightParams:
     @classmethod
     def standard_choice(cls, x: float, n_K: int, c_ZDE: int) -> "WeightParams":
         """ell = 4 * c_ZDE * n_K and eps = 8 * ell * x^(-1/(8*ell))."""
-        for name, value in (("n_K", n_K), ("c_ZDE", c_ZDE)):
-            if value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+        check_int(n_K, 1, "n_K")
+        check_int(c_ZDE, 1, "c_ZDE")
         ell = 4 * c_ZDE * n_K
         eps = 8 * ell * x ** (-1 / (8 * ell))
         if eps >= 0.25:  # eps < 1/4 exactly when x > (32 ell)^(8 ell)

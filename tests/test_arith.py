@@ -40,6 +40,11 @@ class TestPrimeCache:
         for x, cnt in PI_TABLE.items():
             assert int(table.flags[: x + 1].sum()) == cnt
 
+    @pytest.mark.parametrize("x", [1, 1.99, 0, -5])
+    def test_below_two_rejected(self, x):
+        with pytest.raises(ValueError, match=r"^primes_up_to requires x >= 2$"):
+            arith.primes_up_to(x)
+
     def test_membership(self):
         table = arith.primes_up_to(10**4)
         assert table.flags[9973]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -218,6 +219,14 @@ class TestCompositionBounds:
         _, spec_big, dens = self.mixed_supports(4.0)
         with pytest.raises(ValueError, match=r"^sieve dimension condition fails for K = 4\.0"):
             bs.composition_bounds_check(spec_big, spec_big, dens)
+
+    @pytest.mark.parametrize("field", ["z", "R"])
+    def test_z_and_R_shared(self, field):
+        spec1, spec2, dens = self.make("upper", "upper")
+        spec2 = dataclasses.replace(spec2, **{field: getattr(spec2, field) * 1.5})
+        for pair in ((spec1, spec2), (spec2, spec1)):
+            with pytest.raises(ValueError, match=r"^both sieves must share z and R$"):
+                bs.composition_bounds_check(*pair, dens)
 
     def test_unsupported_kinds_rejected_first(self, monkeypatch):
         spec1, spec2, dens = self.make("upper", "lower")

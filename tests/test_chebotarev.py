@@ -513,6 +513,11 @@ class TestMainTermAndBridge:
         for x in (1e4, 1e6):
             assert ch.li_identity_check(x, 0.9) <= 2 * math.sqrt(x) / math.log(x)
 
+    @pytest.mark.parametrize("x, sigma", [(5, 0.9), (1e4, 0), (1e4, 1)])
+    def test_li_identity_domain(self, x, sigma):
+        with pytest.raises(ValueError, match=r"^need x >= 10 and sigma in \(0, 1\)$"):
+            ch.li_identity_check(x, sigma)
+
 
 class TestCongruence:
     def test_A_vs_bruteforce(self):
@@ -537,7 +542,8 @@ class TestCongruence:
 
     @pytest.mark.parametrize("d1,d2", [(0, 1), (1, 0), (-1, 1), (3, -5)])
     def test_A_rejects_d_below_one(self, d1, d2):
-        message = f"^d1 and d2 must be >= 1, got d1 = {d1}, d2 = {d2}$"
+        name, d = ("d1", d1) if d1 < 1 else ("d2", d2)
+        message = f"^{name} must be an integer >= 1, got {d}$"
         with pytest.raises(ValueError, match=message):
             ch.congruence_sum_A(qf.Form(1, 0, 1), d1, d2, 1e4)
 
@@ -549,6 +555,77 @@ class TestCongruence:
             ch.congruence_sum_predicted(qf.Form(1, 0, 1), d1, 1, 1e6, P)
         with pytest.raises(ValueError, match=f"^d1 = 1 and d2 = {d1} must divide P = 15$"):
             ch.congruence_sum_predicted(qf.Form(1, 0, 1), 1, d1, 1e6, P)
+
+
+def ellipse_prime_points(f, x):
+    """Every (u, v, n) with n = f(u, v) a prime <= x, by brute force over
+    |u| <= sqrt(4cx/|D|) and |v| <= sqrt(4ax/|D|); f need not be reduced."""
+    D = -f.discriminant
+    ub = math.isqrt(4 * f.c * x // D) + 1
+    vb = math.isqrt(4 * f.a * x // D) + 1
+    points = ((u, v, f(u, v)) for u in range(-ub, ub + 1) for v in range(-vb, vb + 1))
+    return [(u, v, n) for u, v, n in points if 1 <= n <= x and is_prime(n)]
+
+
+class TestFormAsGiven:
+    """The coordinate sums count the form they are given, not its reduced
+    equivalent: the conditions on u and v move under a change of basis."""
+
+    # not reduced: (1, 2, 7) ~ (1, 0, 6), (3, 5, 4) ~ (2, 1, 3) and
+    # (6, 1, 1) ~ (1, 1, 6)
+    CASES = [(qf.Form(1, 2, 7), 3), (qf.Form(3, 5, 4), 15), (qf.Form(6, 1, 1), 15)]
+    X = 10**4
+
+    def test_A_of_1_2_7(self):
+        # (1, 0, 6) has no prime value with 3 | u, since 3 | 6 u'^2 + 6 v^2
+        points = ellipse_prime_points(qf.Form(1, 2, 7), self.X)
+        brute = sum(u % 3 == 0 for u, _, _ in points)
+        assert ch.congruence_sum_A(qf.Form(1, 2, 7), 3, 1, self.X) == brute / 2 == 204.0
+
+    @pytest.mark.parametrize("f, Pn", CASES, ids=["1_2_7", "3_5_4", "6_1_1"])
+    def test_A_vs_bruteforce(self, f, Pn):
+        points = ellipse_prime_points(f, self.X)
+        for d1 in (1, 3, 5):
+            for d2 in (1, 3, 5):
+                brute = sum(u % d1 == 0 and v % d2 == 0 for u, v, _ in points)
+                assert ch.congruence_sum_A(f, d1, d2, self.X) == brute / 2, (d1, d2)
+
+    @pytest.mark.parametrize("f, Pn", CASES, ids=["1_2_7", "3_5_4", "6_1_1"])
+    def test_experiment_vs_bruteforce(self, f, Pn):
+        P = de.SievingModulus.from_int(Pn)
+        brute = sum(
+            1
+            for u, v, n in ellipse_prime_points(f, self.X)
+            if math.gcd(n, 2 * Pn) == 1 and math.gcd(u, Pn) == 1 and math.gcd(v, Pn) == 1
+        )
+        rep = ch.theorem15_experiment(f, P, self.X)
+        assert rep.lhs * 2 == brute
+        assert rep.config["form"] == list(f)
+        assert rep.density == float(de.delta_f(f, P)) == 1 / 3
+
+    @pytest.mark.parametrize("f, Pn", CASES, ids=["1_2_7", "3_5_4", "6_1_1"])
+    def test_sieved_sum_vs_bruteforce(self, f, Pn):
+        P = de.SievingModulus.from_int(Pn)
+        full = beta_sieve_weights(
+            SieveSpec(z=max(P.prime_factors) + 1.0, R=1e10, kind="upper", support=P.prime_factors)
+        )
+        brute = sum(
+            brute_theta(full, u) * brute_theta(full, v)
+            for u, v, n in ellipse_prime_points(f, self.X)
+            if math.gcd(n, 2 * Pn) == 1
+        )
+        out = ch.sieved_sum_S(f, full, full, P, self.X)
+        assert out["lattice_total"] == brute
+        # full Moebius weights on both axes give the sifted count exactly
+        assert out["S"] == ch.theorem15_experiment(f, P, self.X).lhs
+
+    def test_predicted_density_of_1_2_7(self):
+        # g'(3) = 1/(3 - (-24/3)) = 1/3 for (1, 2, 7); (1, 0, 6) has 3 | c,
+        # so its g'(3) is 0
+        P = de.SievingModulus.from_int(3)
+        out = ch.congruence_sum_predicted(qf.Form(1, 2, 7), 3, 1, 1e6, P)
+        assert out["density"] == Fraction(1, 3)
+        assert out["value"] == Fraction(1, 3) * ch.main_term(1e6, 2)
 
 
 class TestSievedSum:

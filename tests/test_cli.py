@@ -100,6 +100,16 @@ class TestCount:
         assert code == 2
         assert err.startswith("error: prime cache up to") and err.count("\n") == 1
 
+    def test_huge_x_error_is_one_short_line(self, capsys):
+        # x names itself in %g form, not as the 301 digits of int(1e300)
+        assert main(["count", "1", "1", "6", "1e300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: prime cache up to x = 1e+300 exceeds the memory budget of 2^33 flags"
+        ]
+        assert len(captured.err) < 120
+
     @pytest.mark.parametrize("extra", [[], ["--per-class"]])
     def test_imprimitive_rejected(self, capsys, extra):
         # (2, 2, 2) takes only even values: no prime ideal count belongs to it
@@ -124,6 +134,36 @@ class TestDelta:
         assert code == 0
         data = json.loads(out)
         assert data["obstructed"] and data["delta_float"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["delta", "2", "2", "2", "--modulus", "15"], "delta_f"),
+            (["experiment", "2", "2", "2", "--modulus", "15", "--x", "1e4"],
+             "theorem15_experiment"),
+        ],
+        ids=["delta", "experiment"],
+    )
+    def test_imprimitive_names_the_form(self, capsys, argv, name):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {name} requires a primitive form, got (2, 2, 2)"
+        ]
+
+    def test_experiment_reads_the_form_given(self, capsys):
+        # (1, 2, 7) is not reduced: its g'(3) is 1/3, where (1, 0, 6) has
+        # 3 | c and g'(3) = 0, so both commands read 1/3, not 2/3
+        code, out = run(capsys, "delta", "1", "2", "7", "--modulus", "3")
+        assert code == 0
+        delta = json.loads(out)
+        code, out = run(capsys, "experiment", "1", "2", "7", "--modulus", "3", "--x", "1e4")
+        assert code == 0
+        report = json.loads(out)
+        assert delta["form"] == report["config"]["form"] == [1, 2, 7]
+        assert delta["delta"] == "1/3"
+        assert report["density"] == delta["delta_float"] == 1 / 3
 
 
 class TestSieve:

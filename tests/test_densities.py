@@ -111,6 +111,22 @@ class TestObstruction:
                     assert de.g_prime(2, f, P) + de.g_dprime(2, f, P) == 1
                     assert de.delta_f(f, P) == 0
 
+    def test_obstruction_exactly_when_densities_fill_two(self):
+        # the converse of the casework: every reduced form with |D| < 2000
+        moduli = [de.SievingModulus.from_int(n) for n in (2, 3, 6, 30, 105, 210)]
+        cases = 0
+        for D in range(-3, -2000, -1):
+            if D % 4 not in (0, 1):
+                continue
+            for f in qf.class_representatives(D).representatives:
+                for P in moduli:
+                    full = de.g_prime(2, f, P) + de.g_dprime(2, f, P) == 1
+                    assert de.represents_odd_primes_obstructed(f, P) == (
+                        2 in P.prime_factors and full
+                    ), (f, P.P)
+                    cases += 1
+        assert cases == 76074
+
     def test_obstruction_matches_bruteforce(self):
         # no odd prime coprime to P arises with both coordinates odd
         P = de.SievingModulus.from_int(2 * 3 * 5)

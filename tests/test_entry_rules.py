@@ -1,0 +1,119 @@
+"""Each argument kind has one entry rule, stated once: a primitive form
+passes quadforms.check_primitive, and an integer argument passes
+arith.check_int.  Every entry that takes such an argument applies its
+rule under its own name, and no module spells a rule's message itself."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cdtlab import arith
+from cdtlab import chebotarev as ch
+from cdtlab import densities as de
+from cdtlab import errorterms as et
+from cdtlab import quadforms as qf
+from cdtlab import weights as wt
+from cdtlab.betasieve import SieveSpec, beta_sieve_weights
+
+ROOT = Path(__file__).resolve().parents[1]
+P15 = de.SievingModulus.from_int(15)
+W15 = beta_sieve_weights(SieveSpec(z=6.0, R=1e10, kind="upper", support=(3, 5)))
+
+# entry -> a call that passes it the form f; `cdtlab count` is the tenth,
+# in tests/test_cli.py
+FORM_ENTRIES = {
+    "pi_class": lambda f: ch.pi_class(f, 1e4),
+    "pi_class_scan": lambda f: ch.pi_class_scan(f, 1e4),
+    "congruence_sum_A": lambda f: ch.congruence_sum_A(f, 1, 1, 1e4),
+    "congruence_sum_predicted": lambda f: ch.congruence_sum_predicted(f, 1, 1, 1e4, P15),
+    "sieved_sum_S": lambda f: ch.sieved_sum_S(f, W15, W15, P15, 1e4),
+    "theorem15_experiment": lambda f: ch.theorem15_experiment(f, P15, 1e4),
+    "delta_f": lambda f: de.delta_f(f, P15),
+    "represents_odd_primes_obstructed": lambda f: de.represents_odd_primes_obstructed(f, P15),
+    "compose": lambda f: qf.compose(qf.Form(1, 0, 3), f),
+}
+
+
+@pytest.mark.parametrize("name", FORM_ENTRIES)
+def test_form_entry_rejects_imprimitive(name):
+    # (2, 2, 2) has D = -12, as (1, 0, 3) does, and takes only even values
+    with pytest.raises(ValueError, match=rf"^{name} requires a primitive form, got \(2, 2, 2\)$"):
+        FORM_ENTRIES[name](qf.Form(2, 2, 2))
+
+
+# (site, name) -> (a call that passes it n, an admissible n)
+INT_SITES = {
+    ("congruence_sum_A", "d1"): (lambda n: ch.congruence_sum_A(qf.Form(1, 0, 1), n, 1, 1e3), 3),
+    ("congruence_sum_A", "d2"): (lambda n: ch.congruence_sum_A(qf.Form(1, 0, 1), 1, n, 1e3), 5),
+    ("congruence_sum_predicted", "d1"): (
+        lambda n: ch.congruence_sum_predicted(qf.Form(1, 0, 1), n, 1, 1e4, P15), 3
+    ),
+    ("congruence_sum_predicted", "d2"): (
+        lambda n: ch.congruence_sum_predicted(qf.Form(1, 0, 1), 1, n, 1e4, P15), 5
+    ),
+    ("class_number_order", "conductor"): (lambda n: qf.class_number_order(-4, n), 3),
+    ("SievingModulus.from_int", "sieving modulus P"): (de.SievingModulus.from_int, 30),
+    ("main_term", "h"): (lambda n: ch.main_term(1e6, n), 3),
+    ("ErrorModel", "n_K"): (lambda n: et.ErrorModel(n_K=n), 4),
+    ("ErrorModel", "c_ZDE"): (lambda n: et.ErrorModel(c_ZDE=n), 2),
+    ("WeightParams", "ell"): (lambda n: wt.WeightParams(1e5, 0.05, n), 4),
+    ("standard_choice", "n_K"): (lambda n: wt.WeightParams.standard_choice(1e160, n, 1), 2),
+    ("standard_choice", "c_ZDE"): (lambda n: wt.WeightParams.standard_choice(1e160, 2, n), 1),
+    ("remainder_eps", "d"): (lambda n: et.remainder_eps(n, 1e6, et.ErrorModel()), 6),
+    ("factorize", "n"): (arith.factorize, 360),
+    ("kronecker", "n"): (lambda n: arith.kronecker(-23, n), 6),
+}
+
+
+@pytest.mark.parametrize("site", INT_SITES, ids="-".join)
+@pytest.mark.parametrize("bad", [0, 2.5, 2.0])
+def test_int_site_rejects(site, bad):
+    call, _ = INT_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{site[1]} must be an integer >= 1, got {bad}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("site", INT_SITES, ids="-".join)
+def test_int_site_takes_numpy_integers(site):
+    call, n = INT_SITES[site]
+    assert call(np.int64(n)) == call(n)
+
+
+def test_check_int_returns_a_python_int():
+    n = arith.check_int(np.int64(7), 1, "n")
+    assert n == 7 and type(n) is int
+    assert arith.check_int(0, 0, "n") == 0
+
+
+def rule_sites(marker: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function or None) for each string
+    constant in the package source that holds `marker`, f-string parts
+    included."""
+    sites = []
+
+    def visit(node, module, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if marker in child.value:
+                    sites.append((module, fn))
+            visit(child, module, fn)
+
+    for path in sorted((ROOT / "src" / "cdtlab").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
+@pytest.mark.parametrize(
+    "marker, site",
+    [
+        ("requires a primitive form", ("quadforms", "check_primitive")),
+        ("must be an integer >=", ("arith", "check_int")),
+    ],
+)
+def test_each_rule_is_spelled_once(marker, site):
+    assert rule_sites(marker) == [site]

@@ -80,6 +80,15 @@ class TestClassNumbers:
         assert not qf.is_fundamental(-9)
         assert not qf.is_fundamental(-16)
 
+    @pytest.mark.parametrize("D", [-6, -5, 0, 4, 5])
+    def test_non_discriminant_rejected(self, D):
+        message = f"^{D} is not a negative form discriminant$"
+        for entry in (qf.class_representatives, qf.principal_form):
+            with pytest.raises(ValueError, match=message):
+                entry(D)
+        with pytest.raises(ValueError, match=message):
+            qf.prime_to_class(3, D)
+
 
 class TestPrincipalForm:
     def test_reduced_by_construction(self):
@@ -132,6 +141,10 @@ class TestComposition:
                 got = qf.compose(qf.prime_to_class(p, D), qf.prime_to_class(q, D))
                 assert got == qf.reduce_form(united), (p, q)
 
+    def test_unequal_discriminants_rejected(self):
+        with pytest.raises(ValueError, match=r"^compose requires equal discriminants$"):
+            qf.compose(qf.Form(1, 0, 1), qf.Form(1, 1, 1))
+
     def test_element_orders_divide_h(self):
         for D in (-23, -47, -71):
             cl = qf.class_representatives(D)
@@ -151,6 +164,9 @@ class TestOrders:
         assert qf.stab_order(-3) == 6
         assert qf.stab_order(-4) == 4
         assert qf.stab_order(-23) == 2
+        for D in (0, 1, 5):
+            with pytest.raises(ValueError, match=r"^stab_order requires D < 0$"):
+                qf.stab_order(D)
 
     def test_conductor_formula_vs_enumeration(self):
         for D0 in (-3, -4, -7, -8, -23, -47):
