@@ -62,45 +62,82 @@ def is_prime(n: int) -> bool:
 
 
 _CACHE_MAGIC = b"PCHE"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
+# _SPREAD[b]: [n is odd and its bit is set in b] for the 16 integers
+# n = 16k, ..., 16k + 15 of a table byte b, one uint8 each
+_SPREAD = np.zeros((256, 16), dtype=np.uint8)
+_SPREAD[:, 1::2] = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+_SPREAD.setflags(write=False)
+_POPCOUNT = _SPREAD.sum(axis=1, dtype=np.uint8)  # set bits of each byte
 
 
 @dataclass(frozen=True)
 class PrimeCache:
-    """Bit-set of primality flags for 0..limit inclusive.
+    """Primality of 0..limit inclusive, one bit per odd integer.
 
-    Invariant: ``flags[n]`` is True exactly when n is prime.
+    Invariant: ``flags`` is a read-only uint8 array of limit // 16 + 1
+    bytes whose bit i, LSB-first (bit i % 8 of byte i // 8), is set
+    exactly when 2i + 1 is a prime <= limit; 2, the one even prime, is
+    implicit.  The layout stays inside this class: read it through
+    is_prime, unpacked, primes and count.
     """
 
     limit: int
     flags: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.flags.dtype != np.uint8 or self.flags.shape != (self.limit // 16 + 1,):
+            raise ValueError(
+                f"prime table for limit {self.limit} needs {self.limit // 16 + 1} "
+                f"uint8 bytes, got {self.flags.shape} {self.flags.dtype}"
+            )
         self.flags.setflags(write=False)
 
-    def count(self) -> int:
-        return int(np.count_nonzero(self.flags))
+    def is_prime(self, n: np.ndarray) -> np.ndarray:
+        """[n is prime] for every integer 0 <= n <= limit of the int64
+        array n, even n and 2 included."""
+        # an even n would read the bit of n + 1, so the bit is masked by
+        # n & 1; uint8 all through, so that it views as bool
+        shift = ((n >> 1) & 7).astype(np.uint8)
+        bit = (self.flags[n >> 4] >> shift) & (n & 1).astype(np.uint8)
+        return bit.view(bool) | (n == 2)
 
-    def primes(self) -> np.ndarray:
-        return np.flatnonzero(self.flags)
+    def count(self) -> int:
+        """pi(limit)."""
+        return 1 + int(_POPCOUNT[self.flags].sum())
+
+    def unpacked(self, upto: int | None = None) -> np.ndarray:
+        """[n is prime] for 0 <= n <= upto (default limit), one bool per
+        integer, from the table's prefix up to upto only."""
+        upto = self.limit if upto is None else int(upto)
+        if upto > self.limit:
+            raise ValueError(f"primes up to {upto} read past the table's limit {self.limit}")
+        out = _SPREAD.take(self.flags[: upto // 16 + 1], axis=0).reshape(-1)
+        out = out[: max(upto + 1, 0)].view(bool)
+        out[2:3] = True  # 2, the one even prime, when upto >= 2
+        return out
+
+    def primes(self, upto: int | None = None) -> np.ndarray:
+        """The primes <= upto (default limit) in ascending order, from the
+        table's prefix up to upto only."""
+        return np.flatnonzero(self.unpacked(upto))
 
     def save(self, path) -> None:
         """Write the documented little-endian layout.
 
-        Byte layout: 4-byte magic ``PCHE``, ``<I`` version, ``<Q`` limit,
-        ``<I`` zlib.crc32 of the limit's 8 bytes and the payload, then the
-        payload: the bit-set packed LSB-first (bit n of the stream set iff
-        n is prime).
+        Byte layout: 4-byte magic ``PCHE``, ``<I`` version (3), ``<Q``
+        limit, ``<I`` zlib.crc32 of the limit's 8 bytes and the payload,
+        then the payload: ``flags`` as held, limit // 16 + 1 bytes, bit i
+        of the stream (LSB-first) set iff 2i + 1 is prime.
         """
-        packed = np.packbits(self.flags, bitorder="little")
-        crc = zlib.crc32(packed, zlib.crc32(struct.pack("<Q", self.limit)))
+        crc = zlib.crc32(self.flags, zlib.crc32(struct.pack("<Q", self.limit)))
         # a reader sees the old file or the whole new one, never a part
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
                 fh.write(_CACHE_MAGIC)
                 fh.write(struct.pack("<IQI", _CACHE_VERSION, self.limit, crc))
-                fh.write(packed.tobytes())
+                fh.write(self.flags.data)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -123,9 +160,9 @@ class PrimeCache:
             if version != _CACHE_VERSION:
                 raise ValueError(f"unsupported prime cache version {version} in {path}")
             payload = fh.read()
-        if len(payload) * 8 < limit + 1:
+        if len(payload) < limit // 16 + 1:
             raise ValueError(
-                f"truncated prime cache {path}: {len(payload) * 8} flag bits "
+                f"truncated prime cache {path}: {len(payload)} payload bytes "
                 f"for limit {limit}"
             )
         actual = zlib.crc32(payload, zlib.crc32(header[8:16]))
@@ -133,21 +170,23 @@ class PrimeCache:
             raise ValueError(
                 f"corrupt prime cache {path}: checksum {actual:08x}, header says {crc:08x}"
             )
-        packed = np.frombuffer(payload, dtype=np.uint8)
-        flags = np.unpackbits(packed, bitorder="little")[: limit + 1].astype(bool)
-        return cls(limit=limit, flags=flags)
+        return cls(limit=limit, flags=np.frombuffer(payload, dtype=np.uint8))
 
 
-_SEGMENT = 1 << 20  # integers sieved per numpy segment
+_SEGMENT = 1 << 20  # odd integers per numpy segment; a multiple of 8, so
+# that each segment packs into whole bytes of the table
 
 
 def primes_up_to(x: int) -> PrimeCache:
-    """Segmented sieve of Eratosthenes producing a PrimeCache up to x."""
+    """Segmented sieve of Eratosthenes over the odd integers (Bays and
+    Hudson, BIT 17, 1977), each segment packed into a PrimeCache up to x."""
     if x < 2:
         raise ValueError("primes_up_to requires x >= 2")
-    # ~1 byte per integer; refuse absurd requests before allocating.
-    if x > 1 << 33:
-        raise ValueError(f"prime cache up to x = {x:g} exceeds the memory budget of 2^33 flags")
+    # x // 16 bytes; refuse absurd requests before allocating.
+    if x > 1 << 34:
+        raise ValueError(
+            f"prime cache up to x = {x:g} exceeds the memory budget of 2^34 integers (1 GiB)"
+        )
     x = int(x)
     root = math.isqrt(x)
     base = np.ones(root + 1, dtype=bool)
@@ -155,20 +194,22 @@ def primes_up_to(x: int) -> PrimeCache:
     for p in range(2, math.isqrt(root) + 1):
         if base[p]:
             base[p * p :: p] = False
-    base_primes = np.flatnonzero(base)
+    odd_primes = np.flatnonzero(base)[1:].tolist()
 
-    flags = np.zeros(x + 1, dtype=bool)
-    flags[: root + 1] = base
-    lo = root + 1
-    while lo <= x:
-        hi = min(lo + _SEGMENT, x + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base_primes:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            seg[start - lo :: p] = False
-        flags[lo:hi] = seg
-        lo = hi
+    flags = np.zeros(x // 16 + 1, dtype=np.uint8)
+    odds = (x + 1) // 2  # the odd integers 1, 3, ..., up to x
+    for lo in range(0, odds, _SEGMENT):
+        # seg[j] stands for the odd integer n0 + 2j
+        seg = np.ones(min(_SEGMENT, odds - lo), dtype=bool)
+        n0 = 2 * lo + 1
+        for p in odd_primes:
+            start = max(p * p, (n0 + p - 1) // p * p)
+            start += p * (start % 2 == 0)  # the first odd multiple
+            seg[(start - n0) // 2 :: p] = False
+        if lo == 0:
+            seg[0] = False  # 1 is not prime
+        packed = np.packbits(seg, bitorder="little")
+        flags[lo // 8 : lo // 8 + len(packed)] = packed
     return PrimeCache(limit=x, flags=flags)
 
 

@@ -4,13 +4,14 @@ The plain count behind pi_C, the sifted count of Theorem 15 and both
 evaluation orders of the sieved sum S are one weighted sum over the
 lattice points with prime value, taken by a single kernel: they differ
 only in residue tables built from gcds with the sieving modulus.  The
-kernel walks half the plane against a cached sieve table, in numpy
-blocks, in strips across forked worker processes when the estimated
-number of points pays for the fork.  It owns a wheel mod 30 (210 for
-sieving moduli divisible by 7): it builds only the points whose value is
-prime to 30 and whose weight can be nonzero, and adds the values 2, 3
-and 5 by a pass over the tiny ellipse f(u, v) <= 5.  Dividing by the
-unit count turns a lattice total into a prime-ideal count.
+kernel walks half the plane against a cached sieve table of one bit per
+odd integer (arith.PrimeCache), in numpy blocks, in strips across forked
+worker processes when the estimated number of points pays for the fork.
+It owns a wheel mod 30 (210 for sieving moduli divisible by 7): it
+builds only the points whose value is prime to 30, and so odd, and whose
+weight can be nonzero, and adds the values 2, 3 and 5 by a pass over the
+tiny ellipse f(u, v) <= 5.  Dividing by the unit count turns a lattice
+total into a prime-ideal count.
 
 The prime-power events behind the Chebyshev-style sums psi_C, their
 smoothed variants and the partial-summation bridge back to pi_C follow
@@ -95,7 +96,7 @@ _TABLE: PrimeCache | None = None
 
 
 def prime_table(limit: int) -> PrimeCache:
-    """Primality flags up to at least `limit`, cached in memory and,
+    """The prime table up to at least `limit`, cached in memory and,
     when CDTLAB_CACHE_DIR is set, on disk as primes_<n>.pche.  The
     smallest file with n >= limit is loaded; a file that fails to load
     is rebuilt at its n and overwritten, with a warning naming it."""
@@ -132,7 +133,10 @@ def prime_table(limit: int) -> PrimeCache:
 # with f(u, v) = n a prime <= x and n_ok[n % k] nonzero.  Each table must
 # depend on its residue only through the gcd with its modulus, so that
 # (-u, -v) weighs the same as (u, v): the pass over u >= 1 is doubled and
-# the row u = 0 added once.  The tables are read on the prime hits only.
+# the row u = 0 added once.  The tables are read on the prime hits only,
+# and only those of more than one entry: a one-entry table, such as _ONE,
+# weighs every point alike and is a factor of the sum, so a count with no
+# other table takes count_nonzero of the block's prime read.
 #
 # The kernel walks a wheel: it builds only the points with
 # gcd(f(u, v), 30) = 1 (true at (-u, -v) as at (u, v)), and a prime among
@@ -141,6 +145,11 @@ def prime_table(limit: int) -> PrimeCache:
 # against 10.7 for D = -23 and -47, and 44 for u^2 + v^2.  The points of
 # value 2, 3 or 5 come from a second pass over the whole (tiny) ellipse
 # f(u, v) <= min(x, 5), by the same tables.
+#
+# The prime read is PrimeCache.is_prime, over a table that holds bit i
+# of byte i >> 3 for the odd integer 2i + 1, x / 16 bytes in all (625 KB
+# at x = 1e7): the value n reads (bits[n >> 4] >> ((n >> 1) & 7)) & 1,
+# masked to 0 for an even n other than 2.
 #
 # _admissible builds that wheel from f's coefficients mod 30 and drops
 # the points the coordinate tables weigh 0.  Its wheel is mod
@@ -237,17 +246,25 @@ def _lattice_sum(
     if x < 2:
         return 0  # no prime is <= x
     x = int(x)
-    flags = prime_table(x).flags
-    k, m = len(n_ok), len(w_u)
+    table = prime_table(x)
     wheel = _admissible(f, w_u, w_v)
+    # a one-entry table weighs every point alike: a factor of the sum
+    scale = math.prod(int(t[0]) for t in (w_u, w_v, n_ok) if len(t) == 1)
+    # (i, t): table t reads block[i] of the block (U, V, N)
+    varying = [(i, t) for i, t in enumerate((w_u, w_v, n_ok)) if len(t) > 1]
 
     def weigh(blocks) -> int:
         total = 0
-        for U, V, N in blocks:
-            hit = np.flatnonzero(flags[N])
-            w = w_u[U[hit] % m] * n_ok[N[hit] % k]
-            total += int(np.dot(w, w_v[V[hit] % m]))
-        return total
+        for block in blocks:
+            if not varying:
+                total += int(np.count_nonzero(table.is_prime(block[2])))
+                continue
+            hit = np.flatnonzero(table.is_prime(block[2]))
+            w = 1
+            for i, t in varying:
+                w = w * t[block[i][hit] % len(t)]
+            total += int(w.sum())
+        return total * scale
 
     def strip(u_lo: int, u_hi: int) -> int:
         return weigh(represented_blocks(f, x, u_lo, u_hi, admissible=wheel))
@@ -303,9 +320,8 @@ def pi_class_scan(target: Form, x: float) -> int:
     target = reduce_form(target)
     inverse = inverse_form(target)
     D = target.discriminant
-    flags = prime_table(int(x)).flags
     total = 0
-    for p in np.flatnonzero(flags[: max(int(x), 0) + 1]).tolist():
+    for p in prime_table(int(x)).primes(int(x)).tolist():
         g = prime_to_class(p, D)
         if g is not None:
             total += (g == target) + (D % p != 0 and g == inverse)
@@ -364,14 +380,14 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     D = target.discriminant
     principal = target == principal_form(D)
     bound = max(int(bound), 0)
-    flags = prime_table(bound).flags
+    table = prime_table(bound)
     # mark 1: a prime p <= bound; 2: a power p^j <= bound, j >= 2, of a
     # prime ideal of norm base[n] = p; 3: in the principal class, a power
     # of an inert (p), base[n] = p^2; 4: a value p^j that `target`
     # properly represents
-    mark = flags[: bound + 1].astype(np.uint8)
+    mark = table.unpacked(bound).view(np.uint8)
     base = {}
-    for p in np.flatnonzero(flags[: math.isqrt(bound) + 1]).tolist():
+    for p in table.primes(math.isqrt(bound)).tolist():
         q, m = p, 2
         if kronecker(D, p) == -1:
             q, m = p * p, 3 if principal else 0
@@ -400,7 +416,7 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
             n, gj = n * p, compose(gj, g)
     n = np.flatnonzero(mark >= 3)
     rows = np.column_stack((n, n))
-    power = np.flatnonzero(~flags[n])
+    power = np.flatnonzero(~table.is_prime(n))
     rows[power, 1] = [base[k] for k in n[power].tolist()]
     rows = rows[D % rows[:, 1] != 0]
     twice = inverse == target
@@ -410,11 +426,13 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
 def psi_class(target: Form, x: float) -> float:
     """psi_C(x): log q over the events (n, q) of the class of `target`
     with n <= x, summed exactly (math.fsum)."""
+    check_primitive(target, "psi_class")
     return math.fsum(map(math.log, psi_events(target, x)[:, 1].tolist()))
 
 
 def psi_class_smooth(target: Form, params: WeightParams) -> float:
     """psi_C weighted by f(log n / log x); support reaches slightly past x."""
+    check_primitive(target, "psi_class_smooth")
     weight = WeightFunction(params)
     hi = math.exp(params.log_x * weight.support[1])
     events = psi_events(target, math.ceil(hi)).tolist()
@@ -445,6 +463,7 @@ def bridge_check(target: Form, x: float) -> dict:
     prime ideals (p) with p^2 <= x, all in the principal class, and
     leaves out the ramified primes.  Reports the smallest C with
     |difference| <= C sqrt(x)/log x."""
+    check_primitive(target, "bridge_check")
     logx = checked_log(x, 100, "bridge_check requires x >= 100")
     events = psi_events(target, x)
     sqrtx = math.sqrt(x)

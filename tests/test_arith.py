@@ -1,7 +1,10 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +41,11 @@ class TestPrimeCache:
     def test_counts(self):
         table = arith.primes_up_to(10**6)
         for x, cnt in PI_TABLE.items():
-            assert int(table.flags[: x + 1].sum()) == cnt
+            assert len(table.primes(x)) == cnt
+        assert table.count() == 78498
+
+    def test_count_at_1e8(self):
+        assert arith.primes_up_to(10**8).count() == 5761455
 
     @pytest.mark.parametrize("x", [1, 1.99, 0, -5])
     def test_below_two_rejected(self, x):
@@ -47,9 +54,46 @@ class TestPrimeCache:
 
     def test_membership(self):
         table = arith.primes_up_to(10**4)
-        assert table.flags[9973]
-        assert not table.flags[9999]
-        assert len(table.flags) == 10**4 + 1
+        assert table.is_prime(np.array([9973, 9999])).tolist() == [True, False]
+        assert table.limit == 10**4
+
+    @pytest.mark.parametrize("limit", [2, 3, 15, 16, 17, 31, 32, 33, 10**4])
+    def test_reads_vs_miller_rabin(self, limit):
+        # one bit per odd n: byte boundaries at n = 16k, and n = limit read
+        # from a last byte that may hold only n's bit
+        table = arith.primes_up_to(limit)
+        n = np.arange(limit + 1)
+        expected = [arith.is_prime(k) for k in range(limit + 1)]
+        assert table.is_prime(n).tolist() == expected
+        assert table.unpacked().tolist() == expected
+        assert table.count() == sum(expected)
+        assert table.primes().tolist() == [k for k in range(limit + 1) if expected[k]]
+        assert table.flags.nbytes == limit // 16 + 1
+
+    @pytest.mark.parametrize("limit", [2, 33, 10**4])
+    def test_primes_prefix(self, limit):
+        table = arith.primes_up_to(limit)
+        every = table.primes()
+        for upto in {-1, 0, 1, 2, 3, 4, 15, 16, 17, limit // 2, limit - 1, limit}:
+            if upto > limit:
+                continue
+            assert table.primes(upto).tolist() == every[every <= upto].tolist()
+            assert table.unpacked(upto).tolist() == table.unpacked()[: upto + 1].tolist()
+        with pytest.raises(ValueError, match="past the table's limit"):
+            table.primes(limit + 1)
+
+    def test_only_arith_reads_the_packed_layout(self):
+        # the bit layout of PrimeCache.flags stays private to arith
+        readers = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cdtlab").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "flags"
+                ):
+                    readers.append(path.name)
+        assert set(readers) == {"arith.py"}
 
     def test_roundtrip(self, tmp_path):
         table = arith.primes_up_to(10**4)

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tracemalloc
+import zlib
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -100,6 +101,17 @@ class TestWheel:
                 for u0 in range(W)
             ]
             assert table.tolist() == expected
+
+    def test_one_entry_tables_are_factors(self):
+        # a one-entry table weighs every point alike: the kernel takes it
+        # out of the sum as a scalar, with or without a table that varies
+        f = qf.Form(2, 1, 3)
+        n_ok = ch._coprime_residues(30)
+        two, three = np.array([2]), np.array([3])
+        assert ch._lattice_sum(f, 1e4, three, two, two) == 12 * ch.count_prime_points(f, 1e4)
+        assert ch._lattice_sum(f, 1e4, n_ok, two, three) == 6 * ch._lattice_sum(
+            f, 1e4, n_ok, ch._ONE, ch._ONE
+        )
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_rejected(self, x):
@@ -800,22 +812,33 @@ class TestPrimeTableCache:
         assert PrimeCache.load(path).count() == 9592
         assert [q.name for q in tmp_path.iterdir()] == [path.name]
 
-    @pytest.mark.parametrize("damage", ["flipped-byte", "version-1"])
+    @pytest.mark.parametrize("damage", ["flipped-byte", "version-1", "version-2"])
     def test_damaged_or_old_file_is_rebuilt(self, tmp_path, monkeypatch, damage):
         limit = 10**5
         path = tmp_path / f"primes_{limit}.pche"
         table = primes_up_to(limit)
+        reason = "corrupt prime cache"
         if damage == "flipped-byte":
             table.save(path)
             data = bytearray(path.read_bytes())
             data[5000] ^= 0x10
             path.write_bytes(bytes(data))
         else:
-            packed = np.packbits(table.flags, bitorder="little").tobytes()
-            path.write_bytes(b"PCHE" + struct.pack("<IQ", 1, limit) + packed)
+            # versions 1 and 2 held one bit per integer 0..limit, LSB-first;
+            # version 2 added the CRC-32 of the limit's 8 bytes and the bits
+            flags = np.zeros(limit + 1, dtype=bool)
+            flags[table.primes()] = True
+            packed = np.packbits(flags, bitorder="little").tobytes()
+            if damage == "version-1":
+                header = struct.pack("<IQ", 1, limit)
+            else:
+                crc = zlib.crc32(packed, zlib.crc32(struct.pack("<Q", limit)))
+                header = struct.pack("<IQI", 2, limit, crc)
+            path.write_bytes(b"PCHE" + header + packed)
+            reason = f"unsupported prime cache version {damage[-1]}"
         monkeypatch.setenv("CDTLAB_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(ch, "_TABLE", None)
-        with pytest.warns(UserWarning, match=f"rebuilding prime cache .*{path.name}"):
+        with pytest.warns(UserWarning, match=f"rebuilding prime cache .*{path.name}: {reason}"):
             assert ch.prime_table(limit).count() == 9592
         assert PrimeCache.load(path).count() == 9592
 

@@ -95,7 +95,7 @@ class TestCount:
         assert code == 2
 
     def test_table_over_size_cap(self, capsys):
-        code = main(["count", "1", "1", "6", "1e10"])
+        code = main(["count", "1", "1", "6", "1e11"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: prime cache up to") and err.count("\n") == 1
@@ -106,7 +106,7 @@ class TestCount:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: prime cache up to x = 1e+300 exceeds the memory budget of 2^33 flags"
+            "error: prime cache up to x = 1e+300 exceeds the memory budget of 2^34 integers (1 GiB)"
         ]
         assert len(captured.err) < 120
 

@@ -21,11 +21,15 @@ ROOT = Path(__file__).resolve().parents[1]
 P15 = de.SievingModulus.from_int(15)
 W15 = beta_sieve_weights(SieveSpec(z=6.0, R=1e10, kind="upper", support=(3, 5)))
 
-# entry -> a call that passes it the form f; `cdtlab count` is the tenth,
-# in tests/test_cli.py
+# entry -> a call that passes it the form f; `cdtlab count` is the
+# thirteenth, in tests/test_cli.py.  psi_events takes any positive definite
+# form, as its docstring says
 FORM_ENTRIES = {
     "pi_class": lambda f: ch.pi_class(f, 1e4),
     "pi_class_scan": lambda f: ch.pi_class_scan(f, 1e4),
+    "psi_class": lambda f: ch.psi_class(f, 1e4),
+    "psi_class_smooth": lambda f: ch.psi_class_smooth(f, wt.WeightParams(1e4, 0.1, 3)),
+    "bridge_check": lambda f: ch.bridge_check(f, 1e4),
     "congruence_sum_A": lambda f: ch.congruence_sum_A(f, 1, 1, 1e4),
     "congruence_sum_predicted": lambda f: ch.congruence_sum_predicted(f, 1, 1, 1e4, P15),
     "sieved_sum_S": lambda f: ch.sieved_sum_S(f, W15, W15, P15, 1e4),
