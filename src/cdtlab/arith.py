@@ -109,11 +109,11 @@ class PrimeCache:
     def unpacked(self, upto: int | None = None) -> np.ndarray:
         """[n is prime] for 0 <= n <= upto (default limit), one bool per
         integer, from the table's prefix up to upto only."""
-        upto = self.limit if upto is None else int(upto)
+        upto = self.limit if upto is None else check_bound(upto, "upto")
         if upto > self.limit:
             raise ValueError(f"primes up to {upto} read past the table's limit {self.limit}")
         out = _SPREAD.take(self.flags[: upto // 16 + 1], axis=0).reshape(-1)
-        out = out[: max(upto + 1, 0)].view(bool)
+        out = out[: upto + 1].view(bool)
         out[2:3] = True  # 2, the one even prime, when upto >= 2
         return out
 
@@ -180,6 +180,7 @@ _SEGMENT = 1 << 20  # odd integers per numpy segment; a multiple of 8, so
 def primes_up_to(x: int) -> PrimeCache:
     """Segmented sieve of Eratosthenes over the odd integers (Bays and
     Hudson, BIT 17, 1977), each segment packed into a PrimeCache up to x."""
+    x = check_bound(x)
     if x < 2:
         raise ValueError("primes_up_to requires x >= 2")
     # x // 16 bytes; refuse absurd requests before allocating.
@@ -187,7 +188,6 @@ def primes_up_to(x: int) -> PrimeCache:
         raise ValueError(
             f"prime cache up to x = {x:g} exceeds the memory budget of 2^34 integers (1 GiB)"
         )
-    x = int(x)
     root = math.isqrt(x)
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
@@ -335,6 +335,13 @@ def check_finite(x: float, name: str = "x") -> None:
     """Reject an argument that is NaN or infinite, before any int(x)."""
     if not math.isfinite(x):
         raise ValueError(f"{name} must be a finite number, got {x}")
+
+
+def check_bound(x: float, name: str = "x") -> int:
+    """max(floor(x), 0): the one rule for the bound of a count or list up
+    to x.  NaN and +-inf raise ValueError naming it; below 0 is up to 0."""
+    check_finite(x, name)
+    return max(math.floor(x), 0)
 
 
 def check_int(n, lower: int, name: str) -> int:

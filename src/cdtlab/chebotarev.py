@@ -19,16 +19,22 @@ one rule: a split prime power p^j lies in the class of a form exactly
 when the form properly represents it, f(u, v) = p^j with gcd(u, v) = 1,
 since the only primitive ideals of norm p^j are the j-th powers of the
 two ideals above p (Cox, Primes of the Form x^2+ny^2, 2-3 and
-Theorem 7.7; Cohen, Computational Algebraic Number Theory, 5.2).  They
-are read off one lattice pass over the class's own form, on the
-kernel's wheel mod 30, into a mark table that also holds the powers of
-the inert primes (p), all in the principal class; the powers of a split
-2, 3 or 5, which the wheel skips, are placed by the class of the prime
-and its composition powers.  One read-out gives every event in order.
+Theorem 7.7; Cohen, Computational Algebraic Number Theory, 5.2).
+psi_events reads them off one lattice pass over the class's own form.
 pi_class_scan walks every prime p <= x, 2 and the ramified primes
 included, as an independent slow count that equals the lattice count
 exactly; it labels each prime by quadforms.prime_to_class, the class of
 the forms that represent it.
+
+Three prime counts of a class C up to x, read here for the principal
+class of D = -23 at x = 1e6:
+- pi_class (and pi_class_scan): the prime ideals of degree one and norm
+  <= x in C, the ramified ones included: 26065.
+- the bridge's pi: the prime ideals among psi_events' rows (n == q),
+  which add the inert (p) with p^2 <= x and leave out the ramified
+  primes: 26151 = 26065 - 1 + 87.
+- the CDT count: every prime ideal of norm <= x whose Frobenius in the
+  class field H/K is C, all unramified in H/K: 26152 = 26065 + 87.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import PrimeCache, check_finite, check_int, checked_log, kronecker, li, primes_up_to
+from .arith import PrimeCache, check_bound, check_finite, check_int, checked_log, kronecker
+from .arith import li, primes_up_to
 from .betasieve import theta_map
 from .densities import (
     SievingModulus,
@@ -101,7 +108,7 @@ def prime_table(limit: int) -> PrimeCache:
     smallest file with n >= limit is loaded; a file that fails to load
     is rebuilt at its n and overwritten, with a warning naming it."""
     global _TABLE
-    limit = int(limit)
+    limit = check_bound(limit, "limit")
     if _TABLE is not None and _TABLE.limit >= limit:
         return _TABLE
     cache_dir = os.environ.get("CDTLAB_CACHE_DIR")
@@ -144,7 +151,7 @@ def prime_table(limit: int) -> PrimeCache:
 # D = -23, -47 and -71 and 28 for u^2 + v^2; W = 6 would keep 11.1
 # against 10.7 for D = -23 and -47, and 44 for u^2 + v^2.  The points of
 # value 2, 3 or 5 come from a second pass over the whole (tiny) ellipse
-# f(u, v) <= min(x, 5), by the same tables.
+# f(u, v) <= min(x, 5), by the same tables; both passes read _WHEEL_PRIMES.
 #
 # The prime read is PrimeCache.is_prime, over a table that holds bit i
 # of byte i >> 3 for the odd integer 2i + 1, x / 16 bytes in all (625 KB
@@ -188,7 +195,7 @@ def prime_table(limit: int) -> PrimeCache:
 # 9 alternated pairs against one worker: two processes break even near
 # 2M points, which one process per 1M points puts them at.
 
-_WHEEL = 30  # = 2 * 3 * 5
+_WHEEL_PRIMES = (2, 3, 5)  # the wheel's modulus is their product, 30
 _FORK_POINTS = 1_000_000  # estimated points per forked process
 _STRIP = None  # a pool worker's strip closure, set by _start_apart
 _ONE = np.ones(1, dtype=np.int64)  # the table that weighs every residue 1
@@ -196,19 +203,21 @@ _ONE.setflags(write=False)
 
 
 def _admissible(f: Form, w_u: np.ndarray, w_v: np.ndarray) -> np.ndarray:
-    """[gcd(f(u0, v0), 30) = 1] for the residues u0 (rows) and v0 mod W,
-    less the residues that w_u or w_v weigh 0."""
+    """[gcd(f(u0, v0), w) = 1], w the product of _WHEEL_PRIMES, for the
+    residues u0 (rows) and v0 mod W, less the residues that w_u or w_v
+    weigh 0."""
     m = len(w_u)
-    W = math.lcm(_WHEEL, math.gcd(m, 7 * _WHEEL))
+    w = math.prod(_WHEEL_PRIMES)
+    W = math.lcm(w, math.gcd(m, 7 * w))
     g = math.gcd(m, W)
-    a, b, c = (k % _WHEEL for k in f)  # f(u0, v0) mod 30, free of overflow
-    r = np.arange(_WHEEL)
+    a, b, c = (k % w for k in f)  # f(u0, v0) mod w, free of overflow
+    r = np.arange(w)
     u0 = r[:, None]
-    wheel = np.gcd(a * u0 * u0 + b * u0 * r + c * r * r, _WHEEL) == 1
+    wheel = np.gcd(a * u0 * u0 + b * u0 * r + c * r * r, w) == 1
     r = np.arange(W) % g
     rows = (w_u.reshape(-1, g) != 0).any(axis=0)[r]
     cols = (w_v.reshape(-1, g) != 0).any(axis=0)[r]
-    return np.tile(wheel, (W // _WHEEL, W // _WHEEL)) & rows[:, None] & cols
+    return np.tile(wheel, (W // w, W // w)) & rows[:, None] & cols
 
 
 def _run_strip(u_lo: int, u_hi: int) -> int:
@@ -242,10 +251,10 @@ def _start_apart(strip) -> None:
 def _lattice_sum(
     f: Form, x: float, n_ok: np.ndarray, w_u: np.ndarray, w_v: np.ndarray, workers: int = 1
 ) -> int:
-    check_finite(x)
+    workers = check_int(workers, 1, "workers")
+    x = check_bound(x)
     if x < 2:
         return 0  # no prime is <= x
-    x = int(x)
     table = prime_table(x)
     wheel = _admissible(f, w_u, w_v)
     # a one-entry table weighs every point alike: a factor of the sum
@@ -283,8 +292,8 @@ def _lattice_sum(
         jobs = [(lo, min(lo + chunk - 1, U)) for lo in range(1, U + 1, chunk)]
         with multiprocessing.get_context("fork").Pool(procs, _start_apart, (strip,)) as pool:
             half = sum(pool.starmap(_run_strip, jobs))
-    # the primes 2, 3 and 5 that the wheel skips, over the whole plane
-    small = weigh(represented_blocks(f, min(x, 5)))
+    # the primes that the wheel skips, over the whole plane
+    small = weigh(represented_blocks(f, min(x, max(_WHEEL_PRIMES))))
     return 2 * half + strip(0, 0) + small
 
 
@@ -315,13 +324,13 @@ def pi_class_scan(target: Form, x: float) -> int:
     the one.  This count equals pi_class exactly: the lattice path
     reaches the same ideals through the values of the form.
     """
-    check_finite(x)
+    x = check_bound(x)
     check_primitive(target, "pi_class_scan")
     target = reduce_form(target)
     inverse = inverse_form(target)
     D = target.discriminant
     total = 0
-    for p in prime_table(int(x)).primes(int(x)).tolist():
+    for p in prime_table(x).primes(x).tolist():
         g = prime_to_class(p, D)
         if g is not None:
             total += (g == target) + (D % p != 0 and g == inverse)
@@ -358,46 +367,41 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     prime ideal exactly when n == q.
 
     Split p: the two conjugate ideals contribute their powers, q = p.
-    The only primitive ideals of norm p^j are the j-th powers of the two
-    ideals above p, and a form properly represents m exactly when its
-    class holds a primitive ideal of norm m (Cox, Primes of the Form
-    x^2+ny^2, 2-3 and Theorem 7.7; Cohen, Computational Algebraic Number
-    Theory, 5.2).  So the split events of the class are the values
-    f(u, v) = p^j of `target` with gcd(u, v) = 1.  Those with p >= 7 are
-    read off one lattice pass over the kernel's wheel mod 30, which
-    builds only the points with f(u, v) prime to 30.  The powers of a
-    split 2, 3 or 5 are placed by the class g = prime_to_class(p, D):
-    p^j is an event exactly when g^j or g^-j, built by compose, is the
-    class of `target`.  When `target` is its own inverse both conjugate
-    powers lie in its class and the row appears twice.  Inert p: the
-    ideal (p) has norm q = p^2 and lies in the principal class; no form
-    properly represents its powers.  Ramified primes and the primes
-    dividing the conductor are left out; at the scales handled here
-    their contribution is below every tolerance in use.
+    By the rule of the module docstring, the split events of the class
+    are the values f(u, v) = p^j of `target` with gcd(u, v) = 1.  Those
+    with p >= 7 are read off one lattice pass over the kernel's wheel
+    mod 30, which builds only the points with f(u, v) prime to 30.  The
+    powers of a split 2, 3 or 5, which the wheel skips, are placed by the
+    class g = prime_to_class(p, D): p^j is an event exactly when g^j or
+    g^-j, built by compose, is the class of `target`.  When `target` is
+    its own inverse both conjugate powers lie in its class and the row
+    appears twice.  Inert p: the ideal (p) has norm q = p^2 and lies in
+    the principal class; no form properly represents its powers.
+    Ramified primes and the primes dividing the conductor are left out,
+    so the prime ideals among the rows are the bridge's pi of the module
+    docstring.
     """
-    check_finite(bound)
+    bound = check_bound(bound)
     target = reduce_form(target)
     D = target.discriminant
     principal = target == principal_form(D)
-    bound = max(int(bound), 0)
     table = prime_table(bound)
-    # mark 1: a prime p <= bound; 2: a power p^j <= bound, j >= 2, of a
-    # prime ideal of norm base[n] = p; 3: in the principal class, a power
-    # of an inert (p), base[n] = p^2; 4: a value p^j that `target`
-    # properly represents
+    # mark 1: a prime p <= bound; 2: a power p^j <= bound, j >= 2, with
+    # base[n] = p; 3: in the principal class, a power of an inert (p),
+    # base[n] = p^2; 4: a value p^j that `target` properly represents
     mark = table.unpacked(bound).view(np.uint8)
     base = {}
     for p in table.primes(math.isqrt(bound)).tolist():
         q, m = p, 2
-        if kronecker(D, p) == -1:
-            q, m = p * p, 3 if principal else 0
+        if principal and kronecker(D, p) == -1:
+            q, m = p * p, 3
         n = p * p
         while n <= bound:
             mark[n], base[n] = m, q
             n *= q
 
     # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value;
-    # an inert power is never properly represented and keeps its mark 3.
+    # an inert power is never properly represented and keeps its mark, 3 or 2.
     # gcd(u, v)^2 divides f(u, v), so only the powers need the gcd
     wheel = _admissible(target, _ONE, _ONE)
     for U, V, N in represented_blocks(target, bound, 0, admissible=wheel):
@@ -406,7 +410,7 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
         hit = np.flatnonzero(M == 2)
         mark[N[hit[np.gcd(U[hit], V[hit]) == 1]]] = 4
     inverse = inverse_form(target)
-    for p in (2, 3, 5):
+    for p in _WHEEL_PRIMES:
         if D % p == 0 or (g := prime_to_class(p, D)) is None:
             continue
         n, gj = p, g
@@ -459,10 +463,8 @@ def bridge_check(target: Form, x: float) -> dict:
     pi_C(x), psi_C(x) and the integral are all read off one event table
     psi_events(target, x): pi_C counts its rows with n == q, psi_C sums
     their weights log q, and the integral of the step function psi_C is
-    a sum over the rows.  Unlike pi_class, this pi_C counts the inert
-    prime ideals (p) with p^2 <= x, all in the principal class, and
-    leaves out the ramified primes.  Reports the smallest C with
-    |difference| <= C sqrt(x)/log x."""
+    a sum over the rows; pi_C is the bridge's pi of the module docstring.
+    Reports the smallest C with |difference| <= C sqrt(x)/log x."""
     check_primitive(target, "bridge_check")
     logx = checked_log(x, 100, "bridge_check requires x >= 100")
     events = psi_events(target, x)
@@ -622,8 +624,9 @@ def theorem15_experiment(
     When delta_f(P) vanishes, as under the parity obstruction, the left
     side must vanish exactly and the statement is trivially true.
     """
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
+    check_finite(tolerance, "tolerance")
+    if tolerance <= 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     check_primitive(f, "theorem15_experiment")
     D = f.discriminant
     h = class_representatives(D).h

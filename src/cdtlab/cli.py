@@ -20,13 +20,6 @@ from dataclasses import asdict
 from . import betasieve, chebotarev, densities, errorterms, quadforms, verify, weights
 
 
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -219,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="primes represented by a form up to x")
     add_form(p)
     p.add_argument("x", type=float)
-    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--per-class", action="store_true")
     p.add_argument("--csv")
     p.set_defaults(fn=_cmd_count, parser=p)
@@ -259,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_form(p)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--tolerance", type=float, default=0.05)
     p.set_defaults(fn=_cmd_experiment)
 

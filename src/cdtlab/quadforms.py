@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import check_finite, check_int, factorize, kronecker, sqrt_mod
+from .arith import check_bound, check_int, factorize, kronecker, sqrt_mod
 
 __all__ = [
     "Form",
@@ -146,8 +146,7 @@ def class_number(D: int) -> int:
 
 def stab_order(D: int) -> int:
     """Order of the SL2 stabilizer of a primitive form of discriminant D."""
-    if D >= 0:
-        raise ValueError("stab_order requires D < 0")
+    _check_discriminant(D)
     if D == -3:
         return 6
     if D == -4:
@@ -270,15 +269,13 @@ def represented_blocks(
     freed its 1 MB segments; at 2^15 points each block's memory went
     back to the system and was faulted in again.
     """
-    check_finite(x)
+    x = check_bound(x)
     table = np.ones((1, 1), dtype=bool) if admissible is None else admissible
     W = len(table)
     if x < 1:
         return
-    if 4 * f.c * int(x) > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"form {tuple(f)} at x = {int(x)} overflows int64 lattice arithmetic"
-        )
+    if 4 * f.c * x > np.iinfo(np.int64).max:
+        raise ValueError(f"form {tuple(f)} at x = {x} overflows int64 lattice arithmetic")
     a, b, c = f.a, f.b, f.c
     D = f.discriminant
     U = _u_bound(f, x)
@@ -293,7 +290,7 @@ def represented_blocks(
     span = max(1, 16 * runs // max(1, int(table.sum(axis=1).max())))
     for start in range(lo, hi + 1, span):
         us = np.arange(start, min(start + span, hi + 1), dtype=np.int64)
-        disc = D * us * us + 4 * c * int(x)
+        disc = D * us * us + 4 * c * x
         keep = disc >= 0
         us = us[keep]
         root = np.sqrt(disc[keep].astype(np.float64))
@@ -315,7 +312,7 @@ def represented_blocks(
             step -= np.repeat((np.cumsum(n) - n) * W, n)
             Vb = np.repeat(vlo[i : i + runs], n) + step
             N = a * Ub * Ub + b * Ub * Vb + c * Vb * Vb
-            mask = (N >= 1) & (N <= int(x))
+            mask = (N >= 1) & (N <= x)
             yield Ub[mask], Vb[mask], N[mask]
 
 

@@ -178,8 +178,7 @@ def _check_chebotarev() -> list[Check]:
     )
     br = chebotarev.bridge_check(f, 1e4)
     out.append(("bridge constant", br["smallest_C"] <= 5, f"C = {br['smallest_C']:.3f}"))
-    # the bridge's pi_C leaves out the ramified primes that pi_class
-    # counts, and adds the inert (p), p^2 <= x, to the principal class
+    # the bridge's pi is pi_class less the ramified plus the inert (chebotarev's docstring)
     D, x = -23, 1e5
     principal = quadforms.principal_form(D)
     inert = sum(

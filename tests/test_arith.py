@@ -78,7 +78,8 @@ class TestPrimeCache:
             if upto > limit:
                 continue
             assert table.primes(upto).tolist() == every[every <= upto].tolist()
-            assert table.unpacked(upto).tolist() == table.unpacked()[: upto + 1].tolist()
+            # a bound below 0 reads as 0 (arith.check_bound)
+            assert table.unpacked(upto).tolist() == table.unpacked()[: max(upto, 0) + 1].tolist()
         with pytest.raises(ValueError, match="past the table's limit"):
             table.primes(limit + 1)
 

@@ -102,6 +102,17 @@ class TestWheel:
             ]
             assert table.tolist() == expected
 
+    def test_wheel_primes_are_one_constant(self, monkeypatch):
+        # a 7 in the wheel moves the value 7 to the kernel's small pass
+        # and to psi_events' placed powers, and moves no count
+        monkeypatch.setattr(ch, "_WHEEL_PRIMES", (2, 3, 5, 7))
+        forms = qf.class_representatives(-47).representatives
+        assert [ch.count_prime_points(f, 1e5) for f in forms] == [3754, 3824, 3824, 3856, 3856]
+        for D in (-3, -47, -71):
+            for f in qf.class_representatives(D).representatives:
+                for x in (100, 1e5):
+                    assert ch.psi_events(f, x).tolist() == walk_psi_events(f, x), (tuple(f), x)
+
     def test_one_entry_tables_are_factors(self):
         # a one-entry table weighs every point alike: the kernel takes it
         # out of the sum as a scalar, with or without a table that varies

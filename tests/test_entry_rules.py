@@ -1,9 +1,12 @@
 """Each argument kind has one entry rule, stated once: a primitive form
-passes quadforms.check_primitive, and an integer argument passes
-arith.check_int.  Every entry that takes such an argument applies its
+passes quadforms.check_primitive, an integer argument passes
+arith.check_int, and the bound x of a count or list up to x passes
+arith.check_bound.  Every entry that takes such an argument applies its
 rule under its own name, and no module spells a rule's message itself."""
 
 import ast
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,16 @@ INT_SITES = {
     ("remainder_eps", "d"): (lambda n: et.remainder_eps(n, 1e6, et.ErrorModel()), 6),
     ("factorize", "n"): (arith.factorize, 360),
     ("kronecker", "n"): (lambda n: arith.kronecker(-23, n), 6),
+    ("count_prime_points", "workers"): (
+        lambda n: ch.count_prime_points(qf.Form(1, 1, 6), 1e4, workers=n), 2
+    ),
+    ("pi_class", "workers"): (lambda n: ch.pi_class(qf.Form(2, 1, 3), 1e4, workers=n), 2),
+    ("equidistribution_report", "workers"): (
+        lambda n: ch.equidistribution_report(-23, 1e4, workers=n), 2
+    ),
+    ("theorem15_experiment", "workers"): (
+        lambda n: ch.theorem15_experiment(qf.Form(1, 0, 1), P15, 1e4, workers=n), 2
+    ),
 }
 
 
@@ -89,6 +102,59 @@ def test_check_int_returns_a_python_int():
     n = arith.check_int(np.int64(7), 1, "n")
     assert n == 7 and type(n) is int
     assert arith.check_int(0, 0, "n") == 0
+
+
+F = qf.Form(1, 1, 6)
+
+# (site, name) -> a call that passes it the bound v
+BOUND_SITES = {
+    ("represented_blocks", "x"): lambda v: next(qf.represented_blocks(F, v), None),
+    ("count_prime_points", "x"): lambda v: ch.count_prime_points(F, v),
+    ("pi_class_scan", "x"): lambda v: ch.pi_class_scan(F, v),
+    ("psi_events", "x"): lambda v: ch.psi_events(F, v),
+    ("prime_table", "limit"): ch.prime_table,
+    ("primes_up_to", "x"): arith.primes_up_to,
+    ("PrimeCache.unpacked", "upto"): lambda v: arith.primes_up_to(100).unpacked(v),
+    ("PrimeCache.primes", "upto"): lambda v: arith.primes_up_to(100).primes(v),
+}
+
+
+@pytest.mark.parametrize("site", BOUND_SITES, ids="-".join)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bound_site_rejects_non_finite(site, bad):
+    with pytest.raises(ValueError, match=rf"^{site[1]} must be a finite number, got {bad}$"):
+        BOUND_SITES[site](bad)
+
+
+def test_check_bound_floors_at_zero():
+    assert [arith.check_bound(v) for v in (2.9, 2, 0.5, -0.5, -1e6)] == [2, 2, 0, 0, 0]
+    assert type(arith.check_bound(np.float64(7.5))) is int
+
+
+def peak_bytes(call):
+    """(call(), the tracemalloc peak of the call in bytes)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_negative_bound_reads_nothing_of_the_table():
+    # a negative bound once sliced the table from its end and spread
+    # nearly all of it: 13.5 MB and 15.0 MB here after a 1e7 table
+    table = ch.prime_table(10**7)
+    count, peak = peak_bytes(lambda: ch.pi_class_scan(F, -1e6))
+    assert count == 0 and peak < 1 << 20
+    primes, peak = peak_bytes(lambda: table.primes(-100))
+    assert primes.tolist() == [] and peak < 1 << 20
+
+
+def test_fractional_bound_counts_as_its_floor():
+    x = 1e5
+    assert ch.count_prime_points(F, x + 0.5) == ch.count_prime_points(F, x) == 6270
+    assert ch.pi_class_scan(F, x + 0.5) == ch.pi_class_scan(F, x)
+    assert ch.psi_events(F, x + 0.5).tolist() == ch.psi_events(F, x).tolist()
 
 
 def rule_sites(marker: str) -> list[tuple[str, str | None]]:
@@ -117,6 +183,8 @@ def rule_sites(marker: str) -> list[tuple[str, str | None]]:
     [
         ("requires a primitive form", ("quadforms", "check_primitive")),
         ("must be an integer >=", ("arith", "check_int")),
+        ("must be a finite number", ("arith", "check_finite")),
+        ("is not a negative form discriminant", ("quadforms", "_check_discriminant")),
     ],
 )
 def test_each_rule_is_spelled_once(marker, site):

@@ -164,8 +164,9 @@ class TestOrders:
         assert qf.stab_order(-3) == 6
         assert qf.stab_order(-4) == 4
         assert qf.stab_order(-23) == 2
-        for D in (0, 1, 5):
-            with pytest.raises(ValueError, match=r"^stab_order requires D < 0$"):
+        # -5 and -6 are not discriminants: -5 = 3 and -6 = 2 (mod 4)
+        for D in (0, 1, 5, -5, -6):
+            with pytest.raises(ValueError, match=rf"^{D} is not a negative form discriminant$"):
                 qf.stab_order(D)
 
     def test_conductor_formula_vs_enumeration(self):
