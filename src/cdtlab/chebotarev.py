@@ -5,8 +5,10 @@ evaluation orders of the sieved sum S are one weighted sum over the
 lattice points with prime value, taken by a single kernel: they differ
 only in residue tables built from gcds with the sieving modulus.  The
 kernel walks half the plane against a cached sieve table of one bit per
-odd integer (arith.PrimeCache), in numpy blocks, in strips across forked
-worker processes when the estimated number of points pays for the fork.
+odd integer (arith.PrimeCache), in grids of row runs whose values are
+one broadcast quadratic each (quadforms.represented_blocks), in strips
+across forked worker processes when the estimated number of points pays
+for the fork.
 It owns a wheel mod 30 (210 for sieving moduli divisible by 7): it
 builds only the points whose value is prime to 30, and so odd, and whose
 weight can be nonzero, and adds the values 2, 3 and 5 by a pass over the
@@ -66,6 +68,7 @@ from .quadforms import (
     check_primitive,
     class_representatives,
     compose,
+    grid_points,
     induced_form,
     inverse_form,
     prime_to_class,
@@ -145,6 +148,13 @@ def prime_table(limit: int) -> PrimeCache:
 # weighs every point alike and is a factor of the sum, so a count with no
 # other table takes count_nonzero of the block's prime read.
 #
+# A block is a grid (us, v0s, N) of represented_blocks: N holds the values
+# of whole row runs, with 0 in the padding past a run's end, which the
+# prime read takes for "not prime", so no mask is applied.  The grid
+# holds no u or v per point; quadforms.grid_points recovers them for the
+# hits alone, and only when w_u or w_v varies.  Padding is 1.9 percent of
+# the slots for (1, 1, 6) at 1e7 and about 25 percent at 1e5.
+#
 # The kernel walks a wheel: it builds only the points with
 # gcd(f(u, v), 30) = 1 (true at (-u, -v) as at (u, v)), and a prime among
 # them is 7 or more.  That keeps 7 to 11 percent of the ellipse for
@@ -186,17 +196,20 @@ def prime_table(limit: int) -> PrimeCache:
 # pass took 0.34-0.39 s at 1e8 for (1, 1, 6), against 0.17-0.19 s with
 # the workers apart.
 #
-# _FORK_POINTS is measured on a 2-CPU x86-64 host.  The serial kernel
-# builds and gathers about 22M points/s.  A 2-process pool takes about
-# 13 ms of wall time to create, feed and reap, and its two children
-# spend about 17 ms of CPU and 2,400 minor faults beyond the serial
-# pass's work.  Forced pools of two at x = 1e7, 2e7, 3e7, 5e7 and 1e8
-# for (1, 1, 6) (0.7M to 7.0M estimated points) won 0, 0, 5, 9 and 9 of
-# 9 alternated pairs against one worker: two processes break even near
-# 2M points, which one process per 1M points puts them at.
+# _FORK_POINTS is measured on a 2-CPU x86-64 host, where the serial
+# kernel builds and gathers about 110M points/s (6.0-6.3 ms for (1, 1, 6)
+# at 1e7; a forced pool of two took 17.6-18.3 ms there).  Forced pools of
+# two at x = 1e7, 2e7, 3e7, 5e7 and 1e8 for (1, 1, 6) (0.7M to 7.0M
+# estimated points) won 0, 0, 0-1, 4-7 and 8-9 of 9 alternated pairs
+# against one worker over two rounds, and 1, 4 and 6 of 9 at 4e7, 6e7
+# and 7e7.  Two processes break even near 4M points, which one process
+# per 2M points puts them at.  The sifted pass of (1, 0, 1) with
+# P = 15015 weighs each hit and breaks even sooner, near 2M points (at
+# 3e7 the pool won 6 of 7 pairs), but a count loses more below 4M than
+# the sifted pass gains.
 
 _WHEEL_PRIMES = (2, 3, 5)  # the wheel's modulus is their product, 30
-_FORK_POINTS = 1_000_000  # estimated points per forked process
+_FORK_POINTS = 2_000_000  # estimated points per forked process
 _STRIP = None  # a pool worker's strip closure, set by _start_apart
 _ONE = np.ones(1, dtype=np.int64)  # the table that weighs every residue 1
 _ONE.setflags(write=False)
@@ -259,24 +272,27 @@ def _lattice_sum(
     wheel = _admissible(f, w_u, w_v)
     # a one-entry table weighs every point alike: a factor of the sum
     scale = math.prod(int(t[0]) for t in (w_u, w_v, n_ok) if len(t) == 1)
-    # (i, t): table t reads block[i] of the block (U, V, N)
+    # (i, t): table t reads coordinate i of the hits (u, v, n)
     varying = [(i, t) for i, t in enumerate((w_u, w_v, n_ok)) if len(t) > 1]
+    coords = len(w_u) > 1 or len(w_v) > 1
 
-    def weigh(blocks) -> int:
+    def weigh(blocks, W: int) -> int:
         total = 0
         for block in blocks:
             if not varying:
                 total += int(np.count_nonzero(table.is_prime(block[2])))
                 continue
             hit = np.flatnonzero(table.is_prime(block[2]))
+            u, v = grid_points(block, hit, W) if coords else (None, None)
+            at = (u, v, block[2][hit])
             w = 1
             for i, t in varying:
-                w = w * t[block[i][hit] % len(t)]
+                w = w * t[at[i] % len(t)]
             total += int(w.sum())
         return total * scale
 
     def strip(u_lo: int, u_hi: int) -> int:
-        return weigh(represented_blocks(f, x, u_lo, u_hi, admissible=wheel))
+        return weigh(represented_blocks(f, x, u_lo, u_hi, admissible=wheel), len(wheel))
 
     U = _u_bound(f, x)
     procs = workers
@@ -293,7 +309,7 @@ def _lattice_sum(
         with multiprocessing.get_context("fork").Pool(procs, _start_apart, (strip,)) as pool:
             half = sum(pool.starmap(_run_strip, jobs))
     # the primes that the wheel skips, over the whole plane
-    small = weigh(represented_blocks(f, min(x, max(_WHEEL_PRIMES))))
+    small = weigh(represented_blocks(f, min(x, max(_WHEEL_PRIMES))), 1)
     return 2 * half + strip(0, 0) + small
 
 
@@ -404,11 +420,12 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     # an inert power is never properly represented and keeps its mark, 3 or 2.
     # gcd(u, v)^2 divides f(u, v), so only the powers need the gcd
     wheel = _admissible(target, _ONE, _ONE)
-    for U, V, N in represented_blocks(target, bound, 0, admissible=wheel):
+    for block in represented_blocks(target, bound, 0, admissible=wheel):
+        N = block[2]
         M = mark[N]
         mark[N[M == 1]] = 4
         hit = np.flatnonzero(M == 2)
-        mark[N[hit[np.gcd(U[hit], V[hit]) == 1]]] = 4
+        mark[N[hit[np.gcd(*grid_points(block, hit, len(wheel))) == 1]]] = 4
     inverse = inverse_form(target)
     for p in _WHEEL_PRIMES:
         if D % p == 0 or (g := prime_to_class(p, D)) is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -195,7 +196,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each parse_args
+    returns a new namespace, so no value carries from one main to the next."""
     top = _Parser(prog="cdtlab")
     sub = top.add_subparsers(dest="command", required=True)
 

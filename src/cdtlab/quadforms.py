@@ -29,6 +29,7 @@ __all__ = [
     "class_number_order",
     "induced_form",
     "represented_blocks",
+    "grid_points",
     "prime_to_class",
 ]
 
@@ -234,11 +235,28 @@ def induced_form(f: Form, d1: int, d2: int) -> Form:
     return Form(f.a * d1 * d1, f.b * d1 * d2, f.c * d2 * d2)
 
 
-_BLOCK = 1 << 14  # lattice points per block of represented_blocks
+_BLOCK = 1 << 14  # grid slots per block of represented_blocks
 
 
-def _u_bound(f: Form, x: float) -> int:
-    return math.isqrt(int(4 * f.c * x / abs(f.discriminant))) + 1
+def _u_bound(f: Form, x: int) -> int:
+    return math.isqrt(4 * f.c * x // abs(f.discriminant)) + 1
+
+
+def _grid_bound(f: Form, x: int, W: int) -> int:
+    """A bound on every int64 that represented_blocks computes for f, x
+    and a table of size W.
+
+    Each slot (u, v) of a grid, padding included, has |u| <= U and
+    |v| <= V = |b| U / 2c + 2 sqrt(x/c) + W + 8: a run starts within 2
+    below and W + 2 above the lower end of its row's ellipse, and a
+    grid's longest run spans at most 2 sqrt(x/c) + 2.  The products of
+    the grid's arithmetic are then at most a U^2 + |b| U V + 2c V^2, and
+    the rows' discriminants D u^2 + 4cx at most |D| U^2 and 4cx.
+    """
+    a, b, c = f.a, abs(f.b), f.c
+    U = _u_bound(f, x)
+    V = b * U // (2 * c) + 2 * math.isqrt(x // c) + W + 8
+    return max(a * U * U + b * U * V + 2 * c * V * V, abs(f.discriminant) * U * U, 4 * c * x)
 
 
 def represented_blocks(
@@ -249,9 +267,15 @@ def represented_blocks(
     *,
     admissible: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield numpy blocks (U, V, N) covering every integer pair with
+    """Yield grids (us, v0s, N) of runs that cover every integer pair with
     0 < f(u, v) <= x, admissible[u % W, v % W] true and u in [u_lo, u_hi],
     each pair exactly once, where W = len(admissible).
+
+    Row k of a grid is the run v = v0s[k] + W j, j = 0 .. L - 1, of the
+    row u = us[k], where L = N.size // us.size; N is the flat grid of the
+    values f(u, v), whose slot k L + j holds 0 where the value lies
+    outside (0, x], as in a run's padding past its last point and at
+    f(0, 0).  grid_points turns slots into their (u, v).
 
     The u-range defaults to the full ellipse; disjoint u-ranges partition
     the solution set, which is what the parallel counters rely on.
@@ -262,20 +286,32 @@ def represented_blocks(
     row's range (Pritchard, Acta Inf. 17, 1982; Atkin and Bernstein,
     Math. Comp. 73, 2004).  Rows with no such residue are never built.
 
-    A block of _BLOCK points keeps its int64 temporaries within a
-    core's L2 cache, so a lattice pass is not bound by the memory bus
-    that other processes share.  It also keeps them, about 1 MB, under
-    the heap-trim threshold that glibc's malloc sets once the sieve has
-    freed its 1 MB segments; at 2^15 points each block's memory went
-    back to the system and was faulted in again.
+    Along a run the value is the quadratic n0 + d1 j + c W^2 j^2, with
+    n0 = f(u, v0) and d1 = (b u + 2 c v0) W, so a grid is one broadcast
+    of it over (runs x L).  The runs of a chunk of rows go longest
+    first, so that the runs of a grid differ little in length: padding
+    is 1.9 percent of the slots for (1, 1, 6) at x = 1e7 on the wheel
+    mod 30, and more at small x, where the ellipse's rows are few.
+
+    A grid of _BLOCK slots is one int64 array of 128 KB, built in
+    place, and a bool mask; a caller's prime read of it makes a few
+    temporaries of the same length.  They stay within a core's L2
+    cache, so a lattice pass is not bound by the memory bus that other
+    processes share, and under the heap-trim threshold that glibc's
+    malloc sets once the sieve has freed its 1 MB segments, past which
+    each block's memory went back to the system and was faulted in
+    again.  For (1, 1, 6) at 1e7, grids of 2^14 slots counted in
+    4.8-5.0 ms, 2^15 in 5.0 ms, and 2^13 and 2^16 in 5.2-5.7 ms.  A
+    run longer than _BLOCK slots, past x = 6e10 c on the wheel mod 30,
+    is a grid of its own.
     """
     x = check_bound(x)
     table = np.ones((1, 1), dtype=bool) if admissible is None else admissible
     W = len(table)
     if x < 1:
         return
-    if 4 * f.c * x > np.iinfo(np.int64).max:
-        raise ValueError(f"form {tuple(f)} at x = {x} overflows int64 lattice arithmetic")
+    if _grid_bound(f, x, W) > np.iinfo(np.int64).max:
+        raise ValueError(f"form {tuple(f)} at x = {x:g} overflows int64 lattice arithmetic")
     a, b, c = f.a, f.b, f.c
     D = f.discriminant
     U = _u_bound(f, x)
@@ -283,11 +319,10 @@ def represented_blocks(
     hi = U if u_hi is None else min(u_hi, U)
     if lo > hi:
         return
-    # a row u holds at most (2*sqrt(x/c) + 2)/W + 1 points per admissible
-    # residue: blocks of whole runs (one per row and residue), with the
-    # v-ranges of up to 16 blocks' runs computed at once
-    runs = max(1, int(_BLOCK / ((2 * math.sqrt(x / c) + 2) / W + 1)))
-    span = max(1, 16 * runs // max(1, int(table.sum(axis=1).max())))
+    # a run holds at most (2 sqrt(x/c) + 2)/W + 1 points: chunks of rows
+    # with the runs of about 64 full grids
+    longest = int((2 * math.sqrt(x / c) + 2) / W) + 2
+    span = max(1, 64 * _BLOCK // longest // max(1, int(table.sum(axis=1).max())))
     for start in range(lo, hi + 1, span):
         us = np.arange(start, min(start + span, hi + 1), dtype=np.int64)
         disc = D * us * us + 4 * c * x
@@ -297,23 +332,38 @@ def represented_blocks(
         vlo = np.ceil((-b * us - root) / (2 * c)).astype(np.int64) - 1
         vhi = np.floor((-b * us + root) / (2 * c)).astype(np.int64) + 1
         # one run per row u and admissible residue r, from the first
-        # v = r (mod W) at or above vlo
+        # v = r (mod W) at or above vlo, longest first
         row, r = np.nonzero(table[us % W])
         us, vhi = us[row], vhi[row]
-        vlo = vlo[row] + (r - vlo[row]) % W
-        counts = np.maximum((vhi - vlo) // W + 1, 0)
-        for i in range(0, us.size, runs):
-            n = counts[i : i + runs]
-            total = int(n.sum())
-            if total == 0:
-                continue
-            Ub = np.repeat(us[i : i + runs], n)
-            step = np.arange(0, total * W, W, dtype=np.int64)
-            step -= np.repeat((np.cumsum(n) - n) * W, n)
-            Vb = np.repeat(vlo[i : i + runs], n) + step
-            N = a * Ub * Ub + b * Ub * Vb + c * Vb * Vb
-            mask = (N >= 1) & (N <= x)
-            yield Ub[mask], Vb[mask], N[mask]
+        v0s = vlo[row] + (r - vlo[row]) % W
+        counts = (vhi - v0s) // W + 1
+        j = np.arange(counts.max(initial=0), dtype=np.int64)
+        cj = c * W * W * j
+        order = np.argsort(-counts, kind="stable")
+        order = order[counts[order] > 0]
+        us, v0s, counts = us[order], v0s[order], counts[order]
+        n0 = (a * us + b * v0s) * us + c * v0s * v0s
+        d1 = (b * us + 2 * c * v0s) * W
+        i = 0
+        while i < us.size:
+            L = int(counts[i])
+            k = i + max(1, _BLOCK // L)
+            N = np.add(d1[i:k, None], cj[:L])
+            N *= j[:L]
+            N += n0[i:k, None]
+            N[N > x] = 0
+            yield us[i:k], v0s[i:k], N.ravel()
+            i = k
+
+
+def grid_points(
+    block: tuple[np.ndarray, np.ndarray, np.ndarray], k: np.ndarray, W: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates (u, v) of the slots k of a grid (us, v0s, N) of
+    represented_blocks over a table of size W."""
+    us, v0s, N = block
+    row, j = np.divmod(k, N.size // us.size)
+    return us[row], v0s[row] + W * j
 
 
 def prime_to_class(p: int, D: int) -> Form | None:

@@ -397,13 +397,13 @@ class TestPsi:
         built = []
 
         def counted(*args, **kwargs):
-            for U, V, N in qf.represented_blocks(*args, **kwargs):
-                built.append(len(N))
-                yield U, V, N
+            for us, v0s, N in qf.represented_blocks(*args, **kwargs):
+                built.append(np.count_nonzero(N))
+                yield us, v0s, N
 
         monkeypatch.setattr(ch, "represented_blocks", counted)
         ch.psi_events(f, 1e5)
-        half = sum(len(N) for _, _, N in qf.represented_blocks(f, 1e5, 0))
+        half = sum(np.count_nonzero(N) for _, _, N in qf.represented_blocks(f, 1e5, 0))
         assert 0 < sum(built) <= 0.12 * half
 
     def test_principal_gauss_oracle(self):
@@ -790,8 +790,8 @@ class TestTablesVsBruteforce:
         assert (walked[0] == ch._admissible(f, one, one)).all()
 
     def test_sifted_forked_pass(self, monkeypatch, capsys):
-        # about 2.4M estimated points over the mod-210 table: two workers
-        argv = ["experiment", "1", "0", "1", "--modulus", "15015", "--x", "3e7"]
+        # about 4.1M estimated points over the mod-210 table: two workers
+        argv = ["experiment", "1", "0", "1", "--modulus", "15015", "--x", "5e7"]
 
         def lhs(*extra):
             assert cli.main([*argv, *extra]) == 0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cdtlab import verify
+from cdtlab import cli, verify
 from cdtlab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -76,7 +76,7 @@ class TestCount:
         err = capsys.readouterr().err
         assert code == 2
         assert err == (
-            "error: form (1, 1, 1000000000000) at x = 10000000 "
+            "error: form (1, 1, 1000000000000) at x = 1e+07 "
             "overflows int64 lattice arithmetic\n"
         )
 
@@ -482,6 +482,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_parser_built_once_keeps_no_values(self, capsys):
+        # one parser serves every main of the process; each call reads
+        # only its own flags and the defaults
+        assert cli.build_parser() is cli.build_parser()
+        code, out = run(capsys, "count", "1", "1", "6", "1e4", "--per-class", "--workers", "2")
+        assert code == 0 and json.loads(out)["h"] == 3
+        code, out = run(capsys, "experiment", "1", "0", "1", "--modulus", "15", "--x", "1e4")
+        assert code == 0 and "lhs" in json.loads(out)
+        code, out = run(capsys, "count", "1", "1", "6", "1e4")
+        assert code == 0
+        assert set(json.loads(out)) == {"form", "x", "lattice_points", "pi_class"}
+        args = cli.build_parser().parse_args(["count", "1", "1", "6", "1e4"])
+        assert (args.workers, args.per_class, args.csv) == (1, False, None)
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize(

@@ -179,6 +179,17 @@ class TestOrders:
             qf.class_number_order(-12, 2)
 
 
+def points(blocks, W=1):
+    """(u, v, n) for the nonzero slots of the grids (us, v0s, N), read
+    through grid_points over a table of size W."""
+    out = []
+    for block in blocks:
+        k = np.flatnonzero(block[2])
+        u, v = qf.grid_points(block, k, W)
+        out += zip(u.tolist(), v.tolist(), block[2][k].tolist())
+    return out
+
+
 class TestLattice:
     def brute(self, f, x):
         pts = set()
@@ -200,21 +211,20 @@ class TestLattice:
     )
     def test_blocks_vs_bruteforce(self, f, x):
         got = set()
-        for U, V, N in qf.represented_blocks(f, x):
-            for u, v, n in zip(U.tolist(), V.tolist(), N.tolist()):
-                assert f(u, v) == n
-                assert (u, v) not in got
-                got.add((u, v))
+        for u, v, n in points(qf.represented_blocks(f, x)):
+            assert f(u, v) == n
+            assert (u, v) not in got
+            got.add((u, v))
         assert got == self.brute(f, x)
 
     def test_strip_partition(self):
         f = qf.Form(1, 1, 6)
         x = 5000
-        whole = sum(len(N) for _, _, N in qf.represented_blocks(f, x))
+        whole = sum(np.count_nonzero(N) for _, _, N in qf.represented_blocks(f, x))
         pieces = 0
         for lo in range(-80, 81, 7):
             pieces += sum(
-                len(N) for _, _, N in qf.represented_blocks(f, x, lo, lo + 6)
+                np.count_nonzero(N) for _, _, N in qf.represented_blocks(f, x, lo, lo + 6)
             )
         assert whole == pieces
 
@@ -241,11 +251,13 @@ class TestLattice:
         f = qf.Form(1, 1, 6)
         x = 5000
         table = self.admissible(f, key)
-        whole = sum(len(N) for _, _, N in qf.represented_blocks(f, x, admissible=table))
+        whole = sum(
+            np.count_nonzero(N) for _, _, N in qf.represented_blocks(f, x, admissible=table)
+        )
         pieces = 0
         for lo in range(-80, 81, 7):
             pieces += sum(
-                len(N)
+                np.count_nonzero(N)
                 for _, _, N in qf.represented_blocks(f, x, lo, lo + 6, admissible=table)
             )
         assert whole == pieces
@@ -266,10 +278,9 @@ class TestLattice:
         monkeypatch.setattr(qf, "_BLOCK", 64)
         got = []
         table = self.admissible(f, key)
-        for U, V, N in qf.represented_blocks(f, x, admissible=table):
-            for u, v, n in zip(U.tolist(), V.tolist(), N.tolist()):
-                assert f(u, v) == n
-                got.append((u, v))
+        for u, v, n in points(qf.represented_blocks(f, x, admissible=table), len(table)):
+            assert f(u, v) == n
+            got.append((u, v))
         ok = self.ADMISSIBLE[key][1]
         want = {(u, v) for u, v in self.brute(f, x) if ok(f, u, v)}
         assert len(got) == len(set(got))
@@ -282,12 +293,81 @@ class TestLattice:
         table = self.admissible(f, "value30-coord7")
         W = len(table)
 
-        def pairs(blocks):
-            return sorted((u, v) for U, V, _ in blocks for u, v in zip(U.tolist(), V.tolist()))
+        def pairs(blocks, W=1):
+            return sorted((u, v) for u, v, _ in points(blocks, W))
 
         every = pairs(qf.represented_blocks(f, x))
         want = [(u, v) for u, v in every if table[u % W, v % W]]
-        assert pairs(qf.represented_blocks(f, x, admissible=table)) == want
+        assert pairs(qf.represented_blocks(f, x, admissible=table), W) == want
+
+    # grids with padding: rows of unequal runs share a grid
+    GRIDS = [
+        (qf.Form(1, 0, 1), 1000, None),
+        (qf.Form(1, 1, 6), 5000, 30),
+        (qf.Form(3, 2, 5), 3000, "value30-coord7"),
+        (qf.Form(4, 3, 5), 2000, 6),
+    ]
+
+    def slots(self, f, x, key):
+        """Each grid of f up to x with the (u, v) of all its slots."""
+        table = None if key is None else self.admissible(f, key)
+        W = 1 if table is None else len(table)
+        for block in qf.represented_blocks(f, x, admissible=table):
+            u, v = qf.grid_points(block, np.arange(block[2].size), W)
+            yield block, u, v
+
+    @pytest.mark.parametrize("f,x,key", GRIDS)
+    def test_padding_slots_hold_zero(self, f, x, key):
+        padding = 0
+        for (us, _, N), u, v in self.slots(f, x, key):
+            assert N.size % us.size == 0
+            value = f.a * u * u + f.b * u * v + f.c * v * v
+            inside = (value >= 1) & (value <= x)
+            assert (N[~inside] == 0).all()
+            assert (N[inside] == value[inside]).all()
+            assert ((N[N != 0] >= 1) & (N[N != 0] <= x)).all()
+            padding += int(np.count_nonzero(~inside))
+        assert padding > 0
+
+    def test_padding_share_on_the_wheel(self):
+        # the kernel's walk of (1, 1, 6) at 1e7: the half-plane u >= 1 on
+        # the wheel mod 30
+        f, x = qf.Form(1, 1, 6), 10**7
+        table = self.admissible(f, 30)
+        slots = points = 0
+        for _, _, N in qf.represented_blocks(f, x, 1, qf._u_bound(f, x), admissible=table):
+            slots += N.size
+            points += int(np.count_nonzero(N))
+        assert points == 698783
+        assert slots <= 1.05 * points
+
+    @pytest.mark.parametrize("f,x,key", GRIDS)
+    def test_int64_guard_covers_padded_slots(self, f, x, key):
+        # every product of the grid's arithmetic, at every slot, padding
+        # included, lies within the bound that the guard keeps in int64
+        W = 1 if key is None else self.ADMISSIBLE[key][0]
+        bound = qf._grid_bound(f, x, W)
+        a, b, c = f
+        for _, u, v in self.slots(f, x, key):
+            u, v = abs(u), abs(v)
+            assert (a * u * u + abs(b) * u * v + 2 * c * v * v <= bound).all()
+            assert (W * (abs(b) * u + 2 * c * v) <= bound).all()
+            assert (abs(f.discriminant) * u * u <= bound).all()
+
+    def test_int64_guard_threshold(self):
+        # at x = 2^60, 4cx = 2^62 fits in int64 for u^2 + v^2, but a padded
+        # slot may reach 5x; at 2^59 the bound, about 9x, fits
+        f = qf.Form(1, 0, 1)
+        assert qf._grid_bound(f, 2**60, 1) > np.iinfo(np.int64).max
+        with pytest.raises(ValueError, match="overflows int64"):
+            next(qf.represented_blocks(f, 2**60))
+        U = qf._u_bound(f, 2**59)
+        assert next(qf.represented_blocks(f, 2**59, U, U), None) is None
+
+    def test_overflow_message_is_one_short_line(self):
+        with pytest.raises(ValueError) as info:
+            next(qf.represented_blocks(qf.Form(1, 1, 6), 1e300))
+        assert str(info.value) == "form (1, 1, 6) at x = 1e+300 overflows int64 lattice arithmetic"
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_rejected(self, x):
