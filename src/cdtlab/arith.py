@@ -188,24 +188,19 @@ def primes_up_to(x: int) -> PrimeCache:
         raise ValueError(
             f"prime cache up to x = {x:g} exceeds the memory budget of 2^34 integers (1 GiB)"
         )
+    # the odd primes <= sqrt(x), from this same sieve
     root = math.isqrt(x)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p :: p] = False
-    odd_primes = np.flatnonzero(base)[1:].tolist()
+    ps = primes_up_to(root).primes()[1:] if root >= 3 else np.zeros(0, dtype=np.int64)
 
     flags = np.zeros(x // 16 + 1, dtype=np.uint8)
     odds = (x + 1) // 2  # the odd integers 1, 3, ..., up to x
     for lo in range(0, odds, _SEGMENT):
-        # seg[j] stands for the odd integer n0 + 2j
+        # seg[j] stands for the odd integer 2(lo + j) + 1; the odd multiples
+        # of p sit at the indices i = p // 2 (mod p), from p^2 on
         seg = np.ones(min(_SEGMENT, odds - lo), dtype=bool)
-        n0 = 2 * lo + 1
-        for p in odd_primes:
-            start = max(p * p, (n0 + p - 1) // p * p)
-            start += p * (start % 2 == 0)  # the first odd multiple
-            seg[(start - n0) // 2 :: p] = False
+        starts = np.maximum(ps * ps // 2, lo + (ps // 2 - lo) % ps) - lo
+        for p, s in zip(ps.tolist(), starts.tolist()):
+            seg[s::p] = False
         if lo == 0:
             seg[0] = False  # 1 is not prime
         packed = np.packbits(seg, bitorder="little")
@@ -332,8 +327,13 @@ _LI_2 = 1.0451637801174928  # li(2), the principal value from 0
 
 
 def check_finite(x: float, name: str = "x") -> None:
-    """Reject an argument that is NaN or infinite, before any int(x)."""
-    if not math.isfinite(x):
+    """Reject an argument that is NaN, infinite or past the float range,
+    before any int(x)."""
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:  # an int or Fraction past the float range
+        finite, x = False, "a number past the float range"
+    if not finite:
         raise ValueError(f"{name} must be a finite number, got {x}")
 
 

@@ -3,7 +3,7 @@
 The plain count behind pi_C, the sifted count of Theorem 15 and both
 evaluation orders of the sieved sum S are one weighted sum over the
 lattice points with prime value, taken by a single kernel: they differ
-only in residue tables built from gcds with the sieving modulus.  The
+only in residue tables theta = 1 * lambda mod the sieving modulus.  The
 kernel walks half the plane against a cached sieve table of one bit per
 odd integer (arith.PrimeCache), in grids of row runs whose values are
 one broadcast quadratic each (quadforms.represented_blocks), in strips
@@ -52,8 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .arith import PrimeCache, check_bound, check_finite, check_int, checked_log, kronecker
-from .arith import li, primes_up_to
-from .betasieve import theta_map
+from .arith import divisors, li, mobius, primes_up_to
 from .densities import (
     SievingModulus,
     delta_f,
@@ -143,10 +142,12 @@ def prime_table(limit: int) -> PrimeCache:
 # with f(u, v) = n a prime <= x and n_ok[n % k] nonzero.  Each table must
 # depend on its residue only through the gcd with its modulus, so that
 # (-u, -v) weighs the same as (u, v): the pass over u >= 1 is doubled and
-# the row u = 0 added once.  The tables are read on the prime hits only,
-# and only those of more than one entry: a one-entry table, such as _ONE,
-# weighs every point alike and is a factor of the sum, so a count with no
-# other table takes count_nonzero of the block's prime read.
+# the row u = 0 added once.  _ONE does, and so does each _theta_table, a
+# theta = 1 * lambda for mu (coprimality) or the beta-sieve's lambda (S).
+# The tables are read on the prime hits only, and only those of more than
+# one entry: a one-entry table, such as _ONE, weighs every point alike and
+# is a factor of the sum, so a count with no other table takes
+# count_nonzero of the block's prime read.
 #
 # A block is a grid (us, v0s, N) of represented_blocks: N holds the values
 # of whole row runs, with 0 in the padding past a run's end, which the
@@ -313,9 +314,19 @@ def _lattice_sum(
     return 2 * half + strip(0, 0) + small
 
 
+def _theta_table(lam: dict[int, int], m: int) -> np.ndarray:
+    """theta = 1 * lambda at each residue r mod m, lambda_d summed over d | r; each d | m."""
+    if m > 1 << 27:  # 1 GiB of int64
+        raise ValueError(f"residue table mod m = {m} exceeds the budget of 2^27 entries (1 GiB)")
+    theta = np.zeros(m, dtype=np.int64)
+    for d, lam_d in lam.items():
+        theta[::d] += lam_d
+    return theta
+
+
 def _coprime_residues(m: int) -> np.ndarray:
-    """[gcd(r, m) = 1] for every residue r mod m."""
-    return (np.gcd(np.arange(m), m) == 1).astype(np.int64)
+    """[gcd(r, m) = 1] for every residue r mod m: theta of lambda = mu."""
+    return _theta_table({d: mobius(d) for d in divisors(m)}, m)
 
 
 def count_prime_points(f: Form, x: float, workers: int = 1) -> int:
@@ -571,13 +582,6 @@ def congruence_sum_predicted(
     return {"density": dens, "value": value, "budget": budget}
 
 
-def _theta_table(w, P: int) -> np.ndarray:
-    """theta(gcd(r, P)) for every residue r mod P, theta = 1 * lambda."""
-    g = np.gcd(np.arange(P), P).tolist()
-    theta = theta_map(w, set(g))
-    return np.array([theta[d] for d in g], dtype=np.int64)
-
-
 def sieved_sum_S(f: Form, w1, w2, P: SievingModulus, x: float) -> dict:
     """S = sum over coprime (d1, d2) of lambda'_{d1} lambda''_{d2}
     A_{d1,d2}(x), evaluated two ways, over the lattice of the primitive
@@ -605,7 +609,7 @@ def sieved_sum_S(f: Form, w1, w2, P: SievingModulus, x: float) -> dict:
                 continue
             g = induced_form(f, d1, d2)
             by_pairs += l1 * l2 * _lattice_sum(g, x, n_ok, _ONE, _ONE)
-    by_points = _lattice_sum(f, x, n_ok, _theta_table(w1, P.P), _theta_table(w2, P.P))
+    by_points = _lattice_sum(f, x, n_ok, _theta_table(w1.lam, P.P), _theta_table(w2.lam, P.P))
     if by_pairs != by_points:
         raise AssertionError(
             f"evaluation orders disagree: {by_pairs} != {by_points}"

@@ -70,6 +70,26 @@ class TestPrimeCache:
         assert table.primes().tolist() == [k for k in range(limit + 1) if expected[k]]
         assert table.flags.nbytes == limit // 16 + 1
 
+    # x = 2 and 3 stop the recursion for the base primes (isqrt(x) < 3);
+    # prime squares +- 1, where striking starts; the segments of 2^20 odd
+    # integers end at 2^21 and 2^22
+    @pytest.mark.parametrize(
+        "limit",
+        [2, 3, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 168, 169, 170]
+        + [2**21 - 1, 2**21 + 1, 2**22 + 1],
+    )
+    def test_sieve_vs_miller_rabin_at_edges(self, limit):
+        table = arith.primes_up_to(limit)
+        edges = [limit] + [k << 21 for k in range(1, (limit >> 21) + 1)]
+        for edge in edges:
+            n = np.arange(max(edge - 3000, 0), min(edge + 3000, limit) + 1)
+            expected = [arith.is_prime(k) for k in n.tolist()]
+            assert table.is_prime(n).tolist() == expected, edge
+        if limit < 3000:  # the one window holds every n
+            assert table.count() == sum(expected)
+        else:  # pi(2^21) = 155611 and pi(2^22) = 295947
+            assert table.count() == {2**21 - 1: 155611, 2**21 + 1: 155611}.get(limit, 295947)
+
     @pytest.mark.parametrize("limit", [2, 33, 10**4])
     def test_primes_prefix(self, limit):
         table = arith.primes_up_to(limit)

@@ -18,7 +18,7 @@ from cdtlab import cli
 from cdtlab import densities as de
 from cdtlab import quadforms as qf
 from cdtlab.arith import PrimeCache, is_prime, kronecker, li, primes_up_to
-from cdtlab.betasieve import SieveSpec, beta_sieve_weights
+from cdtlab.betasieve import SieveSpec, beta_sieve_weights, theta_map
 from cdtlab.errorterms import ErrorModel
 
 
@@ -697,6 +697,42 @@ class TestSievedSum:
         assert 7 in w.lam
         with pytest.raises(ValueError):
             ch.sieved_sum_S(f, w, w, P, 1e3)
+
+
+class TestResidueTables:
+    # every table the kernel reads is theta = 1 * lambda, built by strides;
+    # the definition reads theta off each residue's gcd with the modulus
+    @pytest.mark.parametrize("m", [1, 2, 30, 60, 105, 210, 1155, 15015, 30030])
+    def test_coprime_residues_by_gcd(self, m):
+        expected = (np.gcd(np.arange(m), m) == 1).astype(np.int64)
+        table = ch._coprime_residues(m)
+        assert table.dtype == np.int64 and table.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("Pn", [105, 1155, 15015])
+    @pytest.mark.parametrize("kind", ["upper", "lower"])
+    def test_theta_table_by_gcd(self, Pn, kind):
+        P = de.SievingModulus.from_int(Pn)
+        w = beta_sieve_weights(
+            SieveSpec(z=P.z + 1, R=1e8, kind=kind, support=P.prime_factors)
+        )
+        assert 1 < len(w.lam) < 2 ** len(P.prime_factors)  # a truncated sieve
+        g = np.gcd(np.arange(Pn), Pn).tolist()
+        theta = theta_map(w, set(g))
+        assert ch._theta_table(w.lam, Pn).tolist() == [theta[d] for d in g]
+
+    BIG = [6469693230, 3234846615]  # 2 * 3 * ... * 29, and its odd part
+
+    @pytest.mark.parametrize("Pn", BIG)
+    def test_table_past_the_budget_rejected(self, Pn):
+        P = de.SievingModulus.from_int(Pn)
+        message = rf"^residue table mod m = {Pn} exceeds the budget of 2\^27 entries \(1 GiB\)$"
+        with pytest.raises(ValueError, match=message):
+            ch.theorem15_experiment(qf.Form(1, 0, 1), P, 1e5)
+        w = beta_sieve_weights(SieveSpec(z=8.0, R=1e10, kind="upper", support=(3, 5, 7)))
+        with pytest.raises(ValueError, match=rf"^residue table mod m = {2 * Pn} exceeds"):
+            ch.sieved_sum_S(qf.Form(1, 0, 1), w, w, P, 1e5)
+        # the density builds no table; 2 | P obstructs (1, 0, 1)
+        assert de.delta_f(qf.Form(1, 0, 1), P) == (0 if Pn % 2 == 0 else Fraction(715, 8192))
 
 
 @functools.lru_cache(maxsize=None)

@@ -166,6 +166,19 @@ class TestDelta:
         assert delta["delta"] == "1/3"
         assert report["density"] == delta["delta_float"] == 1 / 3
 
+    @pytest.mark.parametrize("modulus", ["6469693230", "3234846615"])
+    def test_modulus_past_the_table_budget(self, capsys, modulus):
+        argv = ["experiment", "1", "0", "1", "--modulus", modulus, "--x", "1e5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: residue table mod m = {modulus} exceeds the budget of 2^27 entries (1 GiB)"
+        ]
+        # delta builds no residue table
+        code, out = run(capsys, "delta", "1", "0", "1", "--modulus", modulus)
+        assert code == 0 and json.loads(out)["P"] == int(modulus)
+
 
 class TestSieve:
     def test_table(self, capsys):

@@ -116,6 +116,8 @@ BOUND_SITES = {
     ("primes_up_to", "x"): arith.primes_up_to,
     ("PrimeCache.unpacked", "upto"): lambda v: arith.primes_up_to(100).unpacked(v),
     ("PrimeCache.primes", "upto"): lambda v: arith.primes_up_to(100).primes(v),
+    ("li", "x"): arith.li,
+    ("main_term", "x"): lambda v: ch.main_term(v, 1),
 }
 
 
@@ -124,6 +126,15 @@ BOUND_SITES = {
 def test_bound_site_rejects_non_finite(site, bad):
     with pytest.raises(ValueError, match=rf"^{site[1]} must be a finite number, got {bad}$"):
         BOUND_SITES[site](bad)
+
+
+@pytest.mark.parametrize("site", BOUND_SITES, ids="-".join)
+def test_bound_site_rejects_an_int_past_the_float_range(site):
+    # math.isfinite(10**400) raises OverflowError: the rule turns it into
+    # a short line that names the argument
+    message = rf"^{site[1]} must be a finite number, got a number past the float range$"
+    with pytest.raises(ValueError, match=message):
+        BOUND_SITES[site](10**400)
 
 
 def test_check_bound_floors_at_zero():
@@ -185,6 +196,7 @@ def rule_sites(marker: str) -> list[tuple[str, str | None]]:
         ("must be an integer >=", ("arith", "check_int")),
         ("must be a finite number", ("arith", "check_finite")),
         ("is not a negative form discriminant", ("quadforms", "_check_discriminant")),
+        ("exceeds the budget of 2^27 entries", ("chebotarev", "_theta_table")),
     ],
 )
 def test_each_rule_is_spelled_once(marker, site):

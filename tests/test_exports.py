@@ -60,3 +60,25 @@ def third_party_imports() -> set[str]:
 def test_imports_match_declared_dependencies():
     declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
     assert third_party_imports() == {re.split(r"[<>=!~ ;\[]", d)[0] for d in declared}
+
+
+def test_one_builder_per_residue_table():
+    # every residue table is theta = 1 * lambda from chebotarev._theta_table:
+    # chebotarev takes nothing from betasieve, and no gcd table is left
+    imported = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "cdtlab" / "chebotarev.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not any("betasieve" in name for name in imported)
+    gcd_tables = []
+    for path in sorted((ROOT / "src" / "cdtlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "np.gcd"
+                and any("np.arange" in ast.unparse(arg) for arg in node.args)
+            ):
+                gcd_tables.append(path.name)
+    assert gcd_tables == []
