@@ -8,6 +8,7 @@ and safe to share across threads or forked workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -31,9 +32,11 @@ __all__ = [
     "li",
 ]
 
-# Deterministic Miller-Rabin witness set covering all n < 3.3 * 10^24,
-# in particular every 64-bit integer (Sorenson-Webster).
+# Deterministic Miller-Rabin witness set covering all n < _MR_LIMIT, the
+# least strong pseudoprime to all 12 bases (about 3.2 * 10^23), in
+# particular every 64-bit integer (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461  # = 399165290221 * 798330580441
 
 
 def is_prime(n: int) -> bool:
@@ -63,12 +66,8 @@ def is_prime(n: int) -> bool:
 
 _CACHE_MAGIC = b"PCHE"
 _CACHE_VERSION = 3
-# _SPREAD[b]: [n is odd and its bit is set in b] for the 16 integers
-# n = 16k, ..., 16k + 15 of a table byte b, one uint8 each
-_SPREAD = np.zeros((256, 16), dtype=np.uint8)
-_SPREAD[:, 1::2] = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-_SPREAD.setflags(write=False)
-_POPCOUNT = _SPREAD.sum(axis=1, dtype=np.uint8)  # set bits of each byte
+# set bits of each byte
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class PrimeCache:
     bytes whose bit i, LSB-first (bit i % 8 of byte i // 8), is set
     exactly when 2i + 1 is a prime <= limit; 2, the one even prime, is
     implicit.  The layout stays inside this class: read it through
-    is_prime, unpacked, primes and count.
+    is_prime, primes and count.
     """
 
     limit: int
@@ -106,21 +105,16 @@ class PrimeCache:
         """pi(limit)."""
         return 1 + int(_POPCOUNT[self.flags].sum())
 
-    def unpacked(self, upto: int | None = None) -> np.ndarray:
-        """[n is prime] for 0 <= n <= upto (default limit), one bool per
-        integer, from the table's prefix up to upto only."""
+    def primes(self, upto: int | None = None) -> np.ndarray:
+        """The primes <= upto (default limit) in ascending order, as int64,
+        from the table's prefix up to upto only."""
         upto = self.limit if upto is None else check_bound(upto, "upto")
         if upto > self.limit:
             raise ValueError(f"primes up to {upto} read past the table's limit {self.limit}")
-        out = _SPREAD.take(self.flags[: upto // 16 + 1], axis=0).reshape(-1)
-        out = out[: upto + 1].view(bool)
-        out[2:3] = True  # 2, the one even prime, when upto >= 2
-        return out
-
-    def primes(self, upto: int | None = None) -> np.ndarray:
-        """The primes <= upto (default limit) in ascending order, from the
-        table's prefix up to upto only."""
-        return np.flatnonzero(self.unpacked(upto))
+        # bit i stands for 2i + 1; bool, as flatnonzero is slower on uint8
+        bits = np.unpackbits(self.flags[: upto // 16 + 1], bitorder="little")
+        odd = 2 * np.flatnonzero(bits[: (upto + 1) // 2].view(bool)) + 1
+        return np.concatenate(([2], odd)) if upto >= 2 else odd
 
     def save(self, path) -> None:
         """Write the documented little-endian layout.
@@ -275,21 +269,32 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
+_TRIAL_LIMIT = 10**7  # the largest trial divisor of factorize
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, as (prime, exponent) pairs."""
-    n = check_int(n, 1, "n")
+    """Prime factorization by trial division up to _TRIAL_LIMIT, as
+    (prime, exponent) pairs.  A cofactor left past the limit is one factor
+    when is_prime proves it prime (below _MR_LIMIT); else ValueError."""
+    n = m = check_int(n, 1, "n")
     out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    for p in itertools.chain((2,), range(3, _TRIAL_LIMIT + 1, 2)):
+        if p * p > m:
+            break
+        if m % p == 0:
             e = 0
-            while n % p == 0:
-                n //= p
+            while m % p == 0:
+                m //= p
                 e += 1
             out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    else:  # m has no prime factor up to the limit; below its square m is prime
+        if m >= _TRIAL_LIMIT**2 and not (m < _MR_LIMIT and is_prime(m)):
+            raise ValueError(
+                f"cannot factorize n = {n}: its cofactor {m} has no prime factor "
+                f"up to {_TRIAL_LIMIT} and is not a proven prime"
+            )
+    if m > 1:
+        out.append((m, 1))
     return out
 
 

@@ -412,11 +412,13 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     target = reduce_form(target)
     D = target.discriminant
     principal = target == principal_form(D)
+    if bound + 1 > 1 << 30:  # one mark byte per n <= bound
+        raise ValueError(f"psi_events up to {bound} exceeds the mark budget of 2^30 bytes (1 GiB)")
     table = prime_table(bound)
-    # mark 1: a prime p <= bound; 2: a power p^j <= bound, j >= 2, with
-    # base[n] = p; 3: in the principal class, a power of an inert (p),
-    # base[n] = p^2; 4: a value p^j that `target` properly represents
-    mark = table.unpacked(bound).view(np.uint8)
+    # mark 2: a power p^j <= bound, j >= 2, with base[n] = p; 3: in the
+    # principal class, a power of an inert (p), base[n] = p^2; 4: a value
+    # p^j, j >= 1, that `target` properly represents
+    mark = np.zeros(bound + 1, np.uint8)
     base = {}
     for p in table.primes(math.isqrt(bound)).tolist():
         q, m = p, 2
@@ -433,9 +435,8 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     wheel = _admissible(target, _ONE, _ONE)
     for block in represented_blocks(target, bound, 0, admissible=wheel):
         N = block[2]
-        M = mark[N]
-        mark[N[M == 1]] = 4
-        hit = np.flatnonzero(M == 2)
+        hit = np.flatnonzero(mark[N] == 2)
+        mark[N[np.flatnonzero(table.is_prime(N))]] = 4
         mark[N[hit[np.gcd(*grid_points(block, hit, len(wheel))) == 1]]] = 4
     inverse = inverse_form(target)
     for p in _WHEEL_PRIMES:

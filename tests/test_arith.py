@@ -65,7 +65,6 @@ class TestPrimeCache:
         n = np.arange(limit + 1)
         expected = [arith.is_prime(k) for k in range(limit + 1)]
         assert table.is_prime(n).tolist() == expected
-        assert table.unpacked().tolist() == expected
         assert table.count() == sum(expected)
         assert table.primes().tolist() == [k for k in range(limit + 1) if expected[k]]
         assert table.flags.nbytes == limit // 16 + 1
@@ -99,9 +98,19 @@ class TestPrimeCache:
                 continue
             assert table.primes(upto).tolist() == every[every <= upto].tolist()
             # a bound below 0 reads as 0 (arith.check_bound)
-            assert table.unpacked(upto).tolist() == table.unpacked()[: max(upto, 0) + 1].tolist()
+            n = np.arange(max(upto, 0) + 1)
+            assert table.primes(upto).tolist() == n[table.is_prime(n)].tolist()
         with pytest.raises(ValueError, match="past the table's limit"):
             table.primes(limit + 1)
+
+    def test_primes_at_byte_and_segment_edges(self):
+        # each table byte holds the odd n = 16k + 1, ..., 16k + 15; the
+        # sieve's first segment of 2^20 odd integers ends at 2^21
+        table = arith.primes_up_to(2**21 + 1)
+        for upto in (-1, 0, 1, 2, 3, 15, 16, 17, 2**21 - 1, 2**21 + 1):
+            primes = table.primes(upto)
+            assert primes.dtype == np.int64, upto
+            assert primes.tolist() == [k for k in range(upto + 1) if arith.is_prime(k)], upto
 
     def test_only_arith_reads_the_packed_layout(self):
         # the bit layout of PrimeCache.flags stays private to arith
@@ -272,6 +281,31 @@ class TestMultiplicative:
         ns += [1, 2, 4, 15015, 223092870, 1000000007, 9999999967, 99991**2]
         for n in ns:
             assert arith.factorize(n) == oracle(n), n
+
+    def test_factorize_past_the_trial_limit(self):
+        # trial division stops at 10^7: a prime cofactor past it is proven
+        # by is_prime, here 2^61 - 1; 9999991^2 < 10^14 needs no proof
+        assert arith.factorize(2**61 - 1) == [(2**61 - 1, 1)]
+        assert arith.factorize(3 * (2**61 - 1)) == [(3, 1), (2**61 - 1, 1)]
+        assert arith.factorize(9999991**2) == [(9999991, 2)]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            (10**9 + 7) * (10**9 + 9),
+            # the least strong pseudoprime to every witness of is_prime
+            399165290221 * 798330580441,
+            2**89 - 1,  # a prime, but past the witnesses' proven range
+        ],
+    )
+    def test_factorize_refuses_what_it_cannot_split(self, n):
+        with pytest.raises(ValueError, match=rf"^cannot factorize n = {n}: its cofactor {n} "):
+            arith.factorize(n)
+
+    def test_factorize_below_the_limit_squared_never_calls_is_prime(self, monkeypatch):
+        # the two largest primes below 10^7: today's path, no is_prime call
+        monkeypatch.setattr(arith, "is_prime", None)
+        assert arith.factorize(9999991 * 9999973) == [(9999973, 1), (9999991, 1)]
 
     @given(st.integers(min_value=1, max_value=3000))
     @settings(max_examples=100, deadline=None)

@@ -46,6 +46,13 @@ class TestClassnum:
             " |D| <= 10000000000"
         ]
 
+    def test_large_prime_discriminant_meets_the_enumeration_limit(self, capsys):
+        # is_fundamental factorizes 2^61 - 1 before the limit is checked
+        assert main(["classnum", "--", str(-(2**61 - 1))]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: class enumeration of D = {-(2**61 - 1)} exceeds the limit |D| <= 10000000000"
+        ]
+
 
 class TestCount:
     def test_form_count(self, capsys):
@@ -178,6 +185,29 @@ class TestDelta:
         # delta builds no residue table
         code, out = run(capsys, "delta", "1", "0", "1", "--modulus", modulus)
         assert code == 0 and json.loads(out)["P"] == int(modulus)
+
+    def test_modulus_with_a_large_prime_factor(self, capsys):
+        # 2^61 - 1 is prime: trial division stops at 10^7 and is_prime
+        # proves the cofactor, so delta answers and experiment meets its
+        # table budget instead of dividing up to 1.5 * 10^9
+        modulus = str(2**61 - 1)
+        code, out = run(capsys, "delta", "1", "0", "1", "--modulus", modulus)
+        assert code == 0 and json.loads(out)["P"] == 2**61 - 1
+        argv = ["experiment", "1", "0", "1", "--modulus", modulus, "--x", "1e5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: residue table mod m = {modulus} exceeds the budget of 2^27 entries (1 GiB)"
+        ]
+
+    def test_modulus_that_cannot_be_factorized(self, capsys):
+        n = (10**9 + 7) * (10**9 + 9)
+        assert main(["delta", "1", "0", "1", "--modulus", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot factorize n = {n}: its cofactor {n} has no prime factor"
+            " up to 10000000 and is not a proven prime"
+        ]
 
 
 class TestSieve:

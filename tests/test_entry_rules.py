@@ -114,7 +114,6 @@ BOUND_SITES = {
     ("psi_events", "x"): lambda v: ch.psi_events(F, v),
     ("prime_table", "limit"): ch.prime_table,
     ("primes_up_to", "x"): arith.primes_up_to,
-    ("PrimeCache.unpacked", "upto"): lambda v: arith.primes_up_to(100).unpacked(v),
     ("PrimeCache.primes", "upto"): lambda v: arith.primes_up_to(100).primes(v),
     ("li", "x"): arith.li,
     ("main_term", "x"): lambda v: ch.main_term(v, 1),
@@ -161,6 +160,20 @@ def test_negative_bound_reads_nothing_of_the_table():
     assert primes.tolist() == [] and peak < 1 << 20
 
 
+@pytest.mark.parametrize("call", [ch.psi_events, ch.bridge_check], ids=lambda c: c.__name__)
+def test_psi_mark_budget_is_checked_before_allocating(call):
+    # one mark byte per n <= x: x = 2^30 - 1 is the last within 1 GiB
+    message = rf"^psi_events up to {1 << 30} exceeds the mark budget of 2\^30 bytes \(1 GiB\)$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            call(F, 1 << 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_fractional_bound_counts_as_its_floor():
     x = 1e5
     assert ch.count_prime_points(F, x + 0.5) == ch.count_prime_points(F, x) == 6270
@@ -197,6 +210,9 @@ def rule_sites(marker: str) -> list[tuple[str, str | None]]:
         ("must be a finite number", ("arith", "check_finite")),
         ("is not a negative form discriminant", ("quadforms", "_check_discriminant")),
         ("exceeds the budget of 2^27 entries", ("chebotarev", "_theta_table")),
+        ("read past the table's limit", ("arith", "primes")),
+        ("is not a proven prime", ("arith", "factorize")),
+        ("exceeds the mark budget of 2^30 bytes", ("chebotarev", "psi_events")),
     ],
 )
 def test_each_rule_is_spelled_once(marker, site):
