@@ -40,12 +40,16 @@ _MR_LIMIT = 318665857834031151167461  # = 399165290221 * 798330580441
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for nonnegative integers up to 64 bits."""
+    """Deterministic primality test for n < _MR_LIMIT; a larger n raises ValueError."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime({n}) is past the proven range n < {_MR_LIMIT}")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # no prime factor up to 37, the largest witness
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -17,12 +17,12 @@ total into a prime-ideal count.
 
 The prime-power events behind the Chebyshev-style sums psi_C, their
 smoothed variants and the partial-summation bridge back to pi_C follow
-one rule: a split prime power p^j lies in the class of a form exactly
-when the form properly represents it, f(u, v) = p^j with gcd(u, v) = 1,
-since the only primitive ideals of norm p^j are the j-th powers of the
-two ideals above p (Cox, Primes of the Form x^2+ny^2, 2-3 and
-Theorem 7.7; Cohen, Computational Algebraic Number Theory, 5.2).
-psi_events reads them off one lattice pass over the class's own form.
+one rule: a split prime power p^j lies in the class C exactly when g^j
+or g^-j is C, g the class of an ideal above p: the only primitive ideals
+of norm p^j are the j-th powers of the two ideals above p (Cox, Primes
+of the Form x^2+ny^2, 2-3 and Theorem 7.7; Cohen, Computational
+Algebraic Number Theory, 5.2).  psi_events reads the primes of a class
+off a lattice pass over its form and places the other powers by compose.
 pi_class_scan walks every prime p <= x, 2 and the ramified primes
 included, as an independent slow count that equals the lattice count
 exactly; it labels each prime by quadforms.prime_to_class, the class of
@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .arith import PrimeCache, check_bound, check_finite, check_int, checked_log, kronecker
-from .arith import divisors, li, mobius, primes_up_to
+from .arith import factorize, li, primes_up_to
 from .densities import (
     SievingModulus,
     delta_f,
@@ -326,7 +326,10 @@ def _theta_table(lam: dict[int, int], m: int) -> np.ndarray:
 
 def _coprime_residues(m: int) -> np.ndarray:
     """[gcd(r, m) = 1] for every residue r mod m: theta of lambda = mu."""
-    return _theta_table({d: mobius(d) for d in divisors(m)}, m)
+    mu = {1: 1}
+    for p, _ in factorize(m):  # mu(d p) = -mu(d) for each squarefree d found so far
+        mu |= {d * p: -sign for d, sign in mu.items()}
+    return _theta_table(mu, m)
 
 
 def count_prime_points(f: Form, x: float, workers: int = 1) -> int:
@@ -394,66 +397,58 @@ def psi_events(target: Form, bound: float) -> np.ndarray:
     prime ideal exactly when n == q.
 
     Split p: the two conjugate ideals contribute their powers, q = p.
-    By the rule of the module docstring, the split events of the class
-    are the values f(u, v) = p^j of `target` with gcd(u, v) = 1.  Those
-    with p >= 7 are read off one lattice pass over the kernel's wheel
-    mod 30, which builds only the points with f(u, v) prime to 30.  The
-    powers of a split 2, 3 or 5, which the wheel skips, are placed by the
-    class g = prime_to_class(p, D): p^j is an event exactly when g^j or
-    g^-j, built by compose, is the class of `target`.  When `target` is
-    its own inverse both conjugate powers lie in its class and the row
-    appears twice.  Inert p: the ideal (p) has norm q = p^2 and lies in
-    the principal class; no form properly represents its powers.
-    Ramified primes and the primes dividing the conductor are left out,
-    so the prime ideals among the rows are the bridge's pi of the module
-    docstring.
+    The primes p >= 7 are the prime values of `target` on one lattice
+    pass over the kernel's wheel mod 30: (u, v) and (-u, -v) share a
+    value, so the rows u >= 1 and half the row u = 0 meet each ideal of
+    norm p in the class w/2 = stab_order(D)/2 times, and every (w/2)-th
+    sorted value is one ideal.  The other split events, the powers and
+    the primes 2, 3 and 5 that the wheel skips, follow the rule of the
+    module docstring: p^j is an event once for each of g^j and g^-j that
+    is the class of `target`, g = prime_to_class(p, D), so a class that
+    is its own inverse holds each split event twice.  Inert p: the ideal
+    (p), of norm q = p^2, and its powers lie in the principal class.
+    Ramified primes and the primes dividing the conductor are left out:
+    the rows n == q count the bridge's pi.
     """
     bound = check_bound(bound)
+    # near 2^30 the rows of (1, 0, 1) alone, pi(x) = 54M of them, take 870 MB
+    if bound >= 1 << 30:
+        raise ValueError(f"psi_events up to {bound} exceeds the event-table limit x < 2^30")
     target = reduce_form(target)
     D = target.discriminant
-    principal = target == principal_form(D)
-    if bound + 1 > 1 << 30:  # one mark byte per n <= bound
-        raise ValueError(f"psi_events up to {bound} exceeds the mark budget of 2^30 bytes (1 GiB)")
     table = prime_table(bound)
-    # mark 2: a power p^j <= bound, j >= 2, with base[n] = p; 3: in the
-    # principal class, a power of an inert (p), base[n] = p^2; 4: a value
-    # p^j, j >= 1, that `target` properly represents
-    mark = np.zeros(bound + 1, np.uint8)
-    base = {}
-    for p in table.primes(math.isqrt(bound)).tolist():
-        q, m = p, 2
-        if principal and kronecker(D, p) == -1:
-            q, m = p * p, 3
-        n = p * p
-        while n <= bound:
-            mark[n], base[n] = m, q
-            n *= q
-
-    # f(-u, -v) = f(u, v), so the half-plane u >= 0 meets every value;
-    # an inert power is never properly represented and keeps its mark, 3 or 2.
-    # gcd(u, v)^2 divides f(u, v), so only the powers need the gcd
     wheel = _admissible(target, _ONE, _ONE)
-    for block in represented_blocks(target, bound, 0, admissible=wheel):
-        N = block[2]
-        hit = np.flatnonzero(mark[N] == 2)
-        mark[N[np.flatnonzero(table.is_prime(N))]] = 4
-        mark[N[hit[np.gcd(*grid_points(block, hit, len(wheel))) == 1]]] = 4
+
+    def prime_values(u_lo: int, u_hi: int | None = None) -> np.ndarray:
+        blocks = represented_blocks(target, bound, u_lo, u_hi, admissible=wheel)
+        found = [N[np.flatnonzero(table.is_prime(N))] for _, _, N in blocks]
+        return np.concatenate([np.zeros(0, np.int64), *found])
+
+    primes = np.concatenate((np.sort(prime_values(0, 0))[::2], prime_values(1)))
+    primes = np.sort(primes)[:: stab_order(D) // 2]
+    primes = primes[D % primes != 0]
+
     inverse = inverse_form(target)
-    for p in _WHEEL_PRIMES:
-        if D % p == 0 or (g := prime_to_class(p, D)) is None:
-            continue
-        n, gj = p, g
-        while n <= bound:
-            if gj in (target, inverse):
-                mark[n] = 4
-            n, gj = n * p, compose(gj, g)
-    n = np.flatnonzero(mark >= 3)
-    rows = np.column_stack((n, n))
-    power = np.flatnonzero(~table.is_prime(n))
-    rows[power, 1] = [base[k] for k in n[power].tolist()]
-    rows = rows[D % rows[:, 1] != 0]
-    twice = inverse == target
-    return np.repeat(rows, 1 + (twice & (mark[rows[:, 0]] == 4)), axis=0)
+    principal = target == principal_form(D)
+    powers = []
+    for q in table.primes(max(math.isqrt(bound), max(_WHEEL_PRIMES))).tolist():
+        symbol = kronecker(D, q)
+        if symbol == -1 and principal:
+            n = 1
+            while (n := n * q * q) <= bound:
+                powers.append((n, q * q))
+        elif symbol == 1:
+            g = gj = prime_to_class(q, D)
+            n = q
+            while n <= bound:
+                if n > q or q in _WHEEL_PRIMES:  # the lattice pass read the other primes
+                    powers += [(n, q)] * ((gj == target) + (gj == inverse))
+                n *= q
+                if n <= bound:
+                    gj = compose(gj, g)
+    powers = np.array(powers, np.int64).reshape(-1, 2)
+    rows = np.concatenate((np.column_stack((primes, primes)), powers))
+    return rows[np.argsort(rows[:, 0], kind="stable")]
 
 
 def psi_class(target: Form, x: float) -> float:

@@ -36,6 +36,17 @@ class TestIsPrime:
         assert arith.is_prime(2**61 - 1)
         assert not arith.is_prime(2**62 - 1)
 
+    @pytest.mark.parametrize("n", [arith._MR_LIMIT, arith._MR_LIMIT + 2, 2**89 - 1])
+    def test_refuses_past_the_proven_range(self, n):
+        # the composite _MR_LIMIT passes all 12 witnesses; below it they
+        # decide, up to the last prime under it
+        assert arith._MR_LIMIT == 399165290221 * 798330580441
+        assert arith.is_prime(arith._MR_LIMIT - 20)
+        assert not arith.is_prime(arith._MR_LIMIT - 1)
+        message = rf"^is_prime\({n}\) is past the proven range n < {arith._MR_LIMIT}$"
+        with pytest.raises(ValueError, match=message):
+            arith.is_prime(n)
+
 
 class TestPrimeCache:
     def test_counts(self):

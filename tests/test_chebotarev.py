@@ -343,15 +343,19 @@ def walk_psi_events(target, bound):
 class TestPsi:
     # D = -71 at x = 20: (4, +-3, 5) meets the prime 5 only at u = 0;
     # the second row is non-fundamental, with primes dividing the conductor;
-    # x = -5 has no event
+    # x = -5 has no event; the bounds up to 125 are where the powers of
+    # 2, 3, 5, 7 and 11 start or stop, and each of the 8 classes of
+    # D = -420 is its own inverse
+    BOUNDS = (-5, 2, 3, 4, 5, 7, 8, 9, 20, 24, 25, 26, 49, 100, 121, 125, 1000, 12345, 1e5)
+
     @pytest.mark.parametrize(
         "D",
         [-3, -4, -15, -23, -31, -47, -71, -92]
-        + [-12, -16, -27, -28, -63, -75, -99, -100],
+        + [-12, -16, -27, -28, -63, -75, -99, -100, -420],
     )
     def test_events_equal_walk(self, D):
         for f in qf.class_representatives(D).representatives:
-            for x in (-5, 20, 100, 1000, 12345, 1e5):
+            for x in self.BOUNDS:
                 events = ch.psi_events(f, x)
                 assert events.dtype == np.int64 and events.shape == (len(events), 2)
                 assert (np.diff(events[:, 0]) >= 0).all()
@@ -391,6 +395,20 @@ class TestPsi:
         for f in qf.class_representatives(-71).representatives:
             events = ch.psi_events(f, 200).tolist()
             assert [n for n, q in events if q == 2] == twos[f.a, f.c], tuple(f)
+
+    def test_memory_is_not_sized_by_the_bound(self):
+        # the rows and the prime values of the class only: a table of one
+        # byte per n <= x would take 10^7 bytes alone
+        f = qf.Form(1, 0, 105)
+        ch.prime_table(1e7)
+        tracemalloc.start()
+        try:
+            events = ch.psi_events(f, 1e7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 83253
+        assert peak < 10**7
 
     def test_lattice_pass_walks_the_wheel(self, monkeypatch):
         f = qf.Form(2, 1, 3)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cdtlab import cli, verify
+from cdtlab import chebotarev, cli, densities, verify
+from cdtlab.arith import factorize
 from cdtlab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -199,6 +200,23 @@ class TestDelta:
             f"error: residue table mod m = {modulus} exceeds the budget of 2^27 entries (1 GiB)"
         ]
 
+    def test_experiment_factorizes_the_modulus_twice(self, capsys, monkeypatch):
+        # SievingModulus.from_int and the coprime table each factorize P
+        # once; past 10^7 each takes about 0.5 s of trial division
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        for module in (densities, chebotarev):
+            monkeypatch.setattr(module, "factorize", counted)
+        modulus = 2**61 - 1
+        argv = ["experiment", "1", "0", "1", "--modulus", str(modulus), "--x", "1e5"]
+        assert main(argv) == 2
+        assert "exceeds the budget of 2^27 entries" in capsys.readouterr().err
+        assert calls == [modulus, modulus]
+
     def test_modulus_that_cannot_be_factorized(self, capsys):
         n = (10**9 + 7) * (10**9 + 9)
         assert main(["delta", "1", "0", "1", "--modulus", str(n)]) == 2
@@ -257,6 +275,16 @@ class TestSieve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_support_past_the_proven_range(self, capsys):
+        # the composite 399165290221 * 798330580441 passes every witness of
+        # is_prime, which refuses it rather than take it for a prime
+        n = 399165290221 * 798330580441
+        argv = ["sieve", "--z", "4e23", "--R", "1e30", "--support", f"2,{n}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: is_prime({n}) is past the proven range n < {n}"]
 
     def test_non_integer_support_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

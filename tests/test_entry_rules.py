@@ -162,8 +162,8 @@ def test_negative_bound_reads_nothing_of_the_table():
 
 @pytest.mark.parametrize("call", [ch.psi_events, ch.bridge_check], ids=lambda c: c.__name__)
 def test_psi_mark_budget_is_checked_before_allocating(call):
-    # one mark byte per n <= x: x = 2^30 - 1 is the last within 1 GiB
-    message = rf"^psi_events up to {1 << 30} exceeds the mark budget of 2\^30 bytes \(1 GiB\)$"
+    # x = 2^30 - 1 is the last bound whose event table is built
+    message = rf"^psi_events up to {1 << 30} exceeds the event-table limit x < 2\^30$"
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=message):
@@ -212,7 +212,8 @@ def rule_sites(marker: str) -> list[tuple[str, str | None]]:
         ("exceeds the budget of 2^27 entries", ("chebotarev", "_theta_table")),
         ("read past the table's limit", ("arith", "primes")),
         ("is not a proven prime", ("arith", "factorize")),
-        ("exceeds the mark budget of 2^30 bytes", ("chebotarev", "psi_events")),
+        ("exceeds the event-table limit x < 2^30", ("chebotarev", "psi_events")),
+        ("is past the proven range", ("arith", "is_prime")),
     ],
 )
 def test_each_rule_is_spelled_once(marker, site):
